@@ -20,6 +20,13 @@ use crate::{Axis, PNodeId, Pattern};
 use cxu_tree::Symbol;
 use std::fmt;
 
+/// Deepest pattern [`parse`] accepts: the most steps from the root down
+/// to any node, spine steps and predicate nesting alike. Far beyond any
+/// real query, and shallow enough that the recursive passes over a
+/// pattern (parsing, interning, the detectors) cannot overflow a
+/// worker's stack on hostile input.
+pub const MAX_DEPTH: usize = 1024;
+
 /// Error from [`parse`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct XPathError {
@@ -91,44 +98,54 @@ impl<'a> Parser<'a> {
         Ok(Some(Symbol::intern(&self.src[start..self.pos])))
     }
 
-    /// Parses `step (sep step)*` attached under `parent` via `axis`;
-    /// returns the id of the last step (the local output).
-    fn path(
+    /// Adds the step at `depth` below the root under `parent`, refusing
+    /// patterns deeper than [`MAX_DEPTH`].
+    fn add(
+        &self,
+        pat: &mut Pattern,
+        parent: PNodeId,
+        axis: Axis,
+        label: Option<Symbol>,
+        depth: usize,
+    ) -> Result<PNodeId, XPathError> {
+        if depth > MAX_DEPTH {
+            return self.err(format!("pattern nests deeper than {MAX_DEPTH} steps"));
+        }
+        Ok(pat.add_child(parent, axis, label))
+    }
+
+    /// Parses the predicates of `cur` (the step at `depth`), then
+    /// `(sep step predicates)*`; returns the last step (the local
+    /// output).
+    fn steps(
         &mut self,
         pat: &mut Pattern,
-        parent: Option<PNodeId>,
-        mut axis: Axis,
+        mut cur: PNodeId,
+        mut depth: usize,
     ) -> Result<PNodeId, XPathError> {
-        let mut cur = match parent {
-            Some(p) => {
-                let lbl = self.label()?;
-                let n = pat.add_child(p, axis, lbl);
-                self.predicates(pat, n)?;
-                n
-            }
-            None => {
-                // Root step already in `pat` — parse its predicates only.
-                let r = pat.root();
-                self.predicates(pat, r)?;
-                r
-            }
-        };
+        self.predicates(pat, cur, depth)?;
         loop {
             self.skip_ws();
-            if self.eat("//") {
-                axis = Axis::Descendant;
+            let axis = if self.eat("//") {
+                Axis::Descendant
             } else if self.eat("/") {
-                axis = Axis::Child;
+                Axis::Child
             } else {
                 return Ok(cur);
-            }
+            };
             let lbl = self.label()?;
-            cur = pat.add_child(cur, axis, lbl);
-            self.predicates(pat, cur)?;
+            depth += 1;
+            cur = self.add(pat, cur, axis, lbl, depth)?;
+            self.predicates(pat, cur, depth)?;
         }
     }
 
-    fn predicates(&mut self, pat: &mut Pattern, node: PNodeId) -> Result<(), XPathError> {
+    fn predicates(
+        &mut self,
+        pat: &mut Pattern,
+        node: PNodeId,
+        depth: usize,
+    ) -> Result<(), XPathError> {
         loop {
             self.skip_ws();
             if !self.eat("[") {
@@ -141,7 +158,9 @@ impl<'a> Parser<'a> {
                 let _ = self.eat("./");
                 Axis::Child
             };
-            self.path(pat, Some(node), axis)?;
+            let lbl = self.label()?;
+            let first = self.add(pat, node, axis, lbl, depth + 1)?;
+            self.steps(pat, first, depth + 1)?;
             self.skip_ws();
             if !self.eat("]") {
                 return self.err("expected ']'");
@@ -156,24 +175,21 @@ pub fn parse(src: &str) -> Result<Pattern, XPathError> {
     let mut p = Parser { src, pos: 0 };
     p.skip_ws();
 
-    let (mut pat, root_is_synthetic) = if p.eat("//") {
-        // Implicit wildcard root with a descendant edge to the first step.
-        (Pattern::star(), true)
+    let synthetic = p.eat("//");
+    let mut pat = if synthetic {
+        Pattern::star()
     } else {
         let _ = p.eat("/");
-        let lbl = p.label()?;
-        (Pattern::new(lbl), false)
+        Pattern::new(p.label()?)
     };
-
-    let out = if root_is_synthetic {
-        let root = pat.root();
+    let root = pat.root();
+    let out = if synthetic {
+        // Implicit wildcard root with a descendant edge to the first step.
         let lbl = p.label()?;
-        let first = pat.add_child(root, Axis::Descendant, lbl);
-        p.predicates(&mut pat, first)?;
-        // Continue the main path from `first`.
-        continue_path(&mut p, &mut pat, first)?
+        let first = p.add(&mut pat, root, Axis::Descendant, lbl, 1)?;
+        p.steps(&mut pat, first, 1)?
     } else {
-        p.path(&mut pat, None, Axis::Child)?
+        p.steps(&mut pat, root, 0)?
     };
     pat.set_output(out);
 
@@ -182,26 +198,6 @@ pub fn parse(src: &str) -> Result<Pattern, XPathError> {
         return p.err("trailing input after expression");
     }
     Ok(pat)
-}
-
-fn continue_path(
-    p: &mut Parser<'_>,
-    pat: &mut Pattern,
-    mut cur: PNodeId,
-) -> Result<PNodeId, XPathError> {
-    loop {
-        p.skip_ws();
-        let axis = if p.eat("//") {
-            Axis::Descendant
-        } else if p.eat("/") {
-            Axis::Child
-        } else {
-            return Ok(cur);
-        };
-        let lbl = p.label()?;
-        cur = pat.add_child(cur, axis, lbl);
-        p.predicates(pat, cur)?;
-    }
 }
 
 /// Renders a pattern back to the fragment's surface syntax.
@@ -368,6 +364,24 @@ mod tests {
         assert!(parse("a/").is_err());
         assert!(parse("a b").is_err());
         assert!(parse("[a]").is_err());
+    }
+
+    #[test]
+    fn depth_is_bounded_on_the_spine_and_in_predicates() {
+        let spine = |n: usize| "a/".repeat(n) + "b";
+        let nested = |n: usize| "a[".repeat(n) + "b" + &"]".repeat(n);
+        assert_eq!(parse(&spine(MAX_DEPTH)).unwrap().len(), MAX_DEPTH + 1);
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        for src in [spine(MAX_DEPTH + 1), nested(MAX_DEPTH + 1), spine(100_000)] {
+            let e = parse(&src).unwrap_err();
+            assert!(e.msg.contains("deeper than"), "{e}");
+        }
+        // Spine and predicates add up: a predicate hanging off a deep
+        // spine step counts from the root.
+        let mixed = "a/".repeat(MAX_DEPTH) + "b[c]";
+        assert!(parse(&mixed).is_err());
+        // Width is not depth.
+        assert!(parse(&format!("a{}", "[b]".repeat(5000))).is_ok());
     }
 
     #[test]

@@ -146,21 +146,6 @@ pub struct PairDecision {
     pub cached: bool,
 }
 
-/// The outcome of a transaction-pair analysis
-/// ([`Scheduler::analyze_txn_pair`]): do two transaction programs
-/// conflict?
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct TxnPairReport {
-    /// Whether the transactions conflict — any same-document cross pair
-    /// conflicted, or could not be *proved* not to.
-    pub conflict: bool,
-    /// Pair decisions consulted (the scan early-exits on conflict).
-    pub checked: usize,
-    /// True when the deciding verdict was a conservative degradation
-    /// rather than a genuine conflict: retrying may succeed.
-    pub conservative: bool,
-}
-
 /// The outcome of [`Scheduler::lookup_pair`]: either an answer that was
 /// available under the brief scheduler lock (trivial shape or memo-cache
 /// hit), or a detached [`PairTask`] the caller runs with **no** scheduler
@@ -333,54 +318,6 @@ impl Scheduler {
                 }
             }
         }
-    }
-
-    /// Lifts pairwise conflict detection to transaction programs: two
-    /// transactions conflict iff **any** cross pair of same-document
-    /// operations conflicts. Conservative verdicts count as conflicts —
-    /// the same soundness discipline as the store's merge rung: a
-    /// commutation the detectors could not *prove* must not admit an
-    /// interleaving. Intra-transaction order never enters the question
-    /// (a transaction is not compared against itself); each program's
-    /// own order is preserved by whoever applies it.
-    ///
-    /// Operations are tagged with the document they touch; pairs on
-    /// different documents are independent by construction and skipped
-    /// without a detector. The rest go through [`Scheduler::check_pair`]
-    /// — interner, memo cache, and prefilter included — so repeated
-    /// transaction shapes stay warm. Early-exits on the first conflict.
-    pub fn analyze_txn_pair(
-        &mut self,
-        a: &[(String, Op)],
-        b: &[(String, Op)],
-        deadline: &Deadline,
-    ) -> TxnPairReport {
-        let mut checked = 0usize;
-        let mut out = TxnPairReport {
-            conflict: false,
-            checked: 0,
-            conservative: false,
-        };
-        'scan: for (da, oa) in a {
-            for (db, ob) in b {
-                if da != db {
-                    continue;
-                }
-                let d = self.check_pair(oa, ob, deadline);
-                checked += 1;
-                if d.verdict.conflict || d.verdict.detector.is_conservative() {
-                    out.conflict = true;
-                    out.conservative = d.verdict.detector.is_conservative();
-                    break 'scan;
-                }
-            }
-        }
-        out.checked = checked;
-        cxu_obs::counter!("txn.pair.checked").add(checked as u64);
-        if out.conflict {
-            cxu_obs::counter!("txn.pair.conflicts").inc();
-        }
-        out
     }
 
     /// The lock-friendly half of [`Scheduler::check_pair`]: interns both
@@ -1034,58 +971,6 @@ mod tests {
         let rr = s.check_pair(&read("p/q"), &read("r//s"), &deadline);
         assert_eq!(rr.verdict.detector, Detector::Trivial);
         assert!(!rr.cached);
-    }
-
-    #[test]
-    fn analyze_txn_pair_reduces_to_same_document_cross_pairs() {
-        let mut s = Scheduler::default();
-        let deadline = Deadline::never();
-        let t = |doc: &str, op: Op| (doc.to_owned(), op);
-
-        // Same shapes on different documents: independent by
-        // construction, zero detector pairs.
-        let a = vec![t("d1", ins("x/B", "C")), t("d2", read("x//C"))];
-        let b = vec![t("d3", read("x//C")), t("d4", ins("x/B", "C"))];
-        let r = s.analyze_txn_pair(&a, &b, &deadline);
-        assert!(!r.conflict);
-        assert_eq!(r.checked, 0);
-
-        // Commuting ops on a shared document: checked, no conflict.
-        let a = vec![t("d", ins("x/B", "C"))];
-        let b = vec![t("d", ins("x/E", "F"))];
-        let r = s.analyze_txn_pair(&a, &b, &deadline);
-        assert!(!r.conflict);
-        assert_eq!(r.checked, 1);
-
-        // One conflicting cross pair poisons the whole transaction
-        // pair, and the scan stops there.
-        let a = vec![t("d", ins("x/E", "F")), t("d", ins("x/B", "C"))];
-        let b = vec![t("d", read("x//C")), t("d", read("nowhere/else"))];
-        let r = s.analyze_txn_pair(&a, &b, &deadline);
-        assert!(r.conflict);
-        assert!(!r.conservative);
-        assert!(r.checked < 4, "early exit on the first conflict");
-
-        // Repeated shapes ride the memo cache: rerunning the same
-        // analysis costs no fresh detector work.
-        let hits0 = s.cached_verdicts();
-        let again = s.analyze_txn_pair(&a, &b, &deadline);
-        assert_eq!(again.conflict, r.conflict);
-        assert_eq!(s.cached_verdicts(), hits0, "no new cache entries");
-    }
-
-    #[test]
-    fn analyze_txn_pair_treats_conservative_verdicts_as_conflicts() {
-        let mut s = Scheduler::new(SchedConfig {
-            jobs: 1,
-            ..SchedConfig::default()
-        });
-        let a = vec![("d".to_owned(), read("a[b][c]"))];
-        let b = vec![("d".to_owned(), ins("a[b]", "c"))];
-        let expired = Deadline::after(std::time::Duration::ZERO);
-        let r = s.analyze_txn_pair(&a, &b, &expired);
-        assert!(r.conflict, "an unproved commutation must not admit");
-        assert!(r.conservative, "and is reported as retryable");
     }
 
     #[test]

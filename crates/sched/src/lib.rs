@@ -46,7 +46,7 @@ pub mod validate;
 
 pub use cxu_runtime as runtime;
 pub use cxu_runtime::{CancelToken, Deadline};
-pub use engine::{BatchResult, PairDecision, PairLookup, PairTask, Scheduler, TxnPairReport};
+pub use engine::{BatchResult, PairDecision, PairLookup, PairTask, Scheduler};
 pub use graph::{ConflictGraph, Edge};
 pub use intern::{op_route_hash, pair_route_hash, OpInfo, PairKey};
 pub use op::{ops_of_program, Op};

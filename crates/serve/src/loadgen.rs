@@ -298,8 +298,7 @@ pub struct TxnTallies {
     /// transactions whose first attempt actually committed.
     pub replayed: u64,
     /// `result: "conflict"` — retryable optimistic-concurrency losses
-    /// (stale guards that do not commute with the winning edits, or an
-    /// admission-time clash with an in-flight transaction).
+    /// (stale guards that do not commute with the winning edits).
     pub conflicted: u64,
     /// `result: "rejected"` — non-retryable refusals.
     pub rejected: u64,

@@ -55,7 +55,7 @@ use cxu_gen::wire::TxnWire;
 use cxu_obs::Registry;
 use cxu_runtime::{failpoints, Deadline};
 use cxu_sched::{Op, PairDecision, PairLookup, SchedConfig, Scheduler};
-use cxu_store::{DurabilityConfig, FsyncPolicy, Store, StoreConfig, StoreError, TxnError};
+use cxu_store::{DurabilityConfig, FsyncPolicy, Store, StoreConfig, StoreError};
 use cxu_txn::Txn;
 use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
@@ -164,11 +164,6 @@ pub struct ServeSummary {
 }
 
 /// State shared by the acceptor, IO loops, and shard workers.
-/// An in-flight transaction under optimistic admission: the token the
-/// committing job holds, plus its ops keyed by document for cross-pair
-/// analysis against arrivals.
-type InflightTxn = (u64, Vec<(String, Op)>);
-
 struct Shared {
     cfg: ServeConfig,
     start: Instant,
@@ -181,15 +176,6 @@ struct Shared {
     /// spawns binds to it, so serve/sched/store metrics all isolate per
     /// server even when two servers overlap in one process.
     registry: &'static Registry,
-    /// Transactions currently applying, as `(token, sched ops)`.
-    /// Optimistic admission analyzes an arriving transaction against
-    /// every entry (under this lock, so admission is serialized and
-    /// deterministic) and answers `result: "conflict"` without touching
-    /// the store when any cross pair conflicts. Correctness does not
-    /// depend on this — the store's guard checks are the authority —
-    /// but it turns a doomed commit into an immediate retryable answer.
-    txn_inflight: Mutex<Vec<InflightTxn>>,
-    txn_tokens: AtomicU64,
     connections: AtomicU64,
     accepted: AtomicU64,
     completed: AtomicU64,
@@ -257,8 +243,6 @@ impl Server {
             shards,
             store,
             registry,
-            txn_inflight: Mutex::new(Vec::new()),
-            txn_tokens: AtomicU64::new(0),
             cfg,
             start: Instant::now(),
             shutdown: AtomicBool::new(false),
@@ -485,6 +469,12 @@ fn process_job(shared: &Shared, job: &Job) -> String {
             None => Deadline::never(),
         };
         let home = shared.shards.get(job.home);
+        // How the store's write path consults the routed detectors for a
+        // stale `doc_put` or `txn`: each pair takes the home shard's
+        // scheduler lock for exactly one `check_pair` (the store holds
+        // no lock of its own while this closure runs).
+        let mut check =
+            |a: &Op, b: &Op| lock(home.sched(job.req.semantics)).check_pair(a, b, &deadline);
         match &job.req.route {
             Route::Check { a, b } => {
                 let d = if let Some(task) = &job.prepared {
@@ -542,13 +532,6 @@ fn process_job(shared: &Shared, job: &Job) -> String {
                 base_rev,
                 payload,
             } => {
-                // The merge rung consults the routed detectors; each
-                // pair takes the home shard's scheduler lock for
-                // exactly one `check_pair` (the store holds no lock of
-                // its own while this closure runs).
-                let mut check = |a: &Op, b: &Op| {
-                    lock(home.sched(job.req.semantics)).check_pair(a, b, &deadline)
-                };
                 let out = shared
                     .store
                     .put(doc, *base_rev, (**payload).clone(), &mut check);
@@ -621,9 +604,12 @@ fn process_job(shared: &Shared, job: &Job) -> String {
                 Ok(resp)
             }
             Route::Txn { txn } => {
-                let resp = apply_txn_job(shared, job, txn, home, &deadline);
+                let out = shared.store.apply_txn(&txn.guards, &txn.writes, &mut check);
                 cxu_obs::histogram!("serve.txn_ns").record_since(job.received);
-                Ok(resp)
+                Ok(match out {
+                    Ok(o) => proto::render_txn_applied(job.req.id, &o),
+                    Err(e) => proto::render_txn_denied(job.req.id, &e),
+                })
             }
             // Admin routes are answered inline on the IO thread (and
             // the txn accumulator routes on their connection) — none of
@@ -671,66 +657,6 @@ fn process_job(shared: &Shared, job: &Job) -> String {
             tally(shared, Outcome::Failed);
             proto::render_error(job.req.id, "internal", &detail)
         }
-    }
-}
-
-/// Commits one transaction job: optimistic admission against the
-/// in-flight registry, then the store's atomic multi-op commit.
-fn apply_txn_job(
-    shared: &Shared,
-    job: &Job,
-    txn: &Txn,
-    shard: &crate::shard::Shard,
-    deadline: &Deadline,
-) -> String {
-    let ops = txn.sched_ops();
-    let token = {
-        let mut inflight = lock(&shared.txn_inflight);
-        for (_, theirs) in inflight.iter() {
-            // Transaction-pair analysis through the home shard's warm
-            // cache; the registry lock is held, so two conflicting
-            // transactions can never both pass this gate.
-            let rep = lock(shard.sched(job.req.semantics)).analyze_txn_pair(&ops, theirs, deadline);
-            if rep.conflict {
-                drop(inflight);
-                cxu_obs::counter!("txn.commits").inc();
-                cxu_obs::counter!("txn.conflicted").inc();
-                let err = TxnError::Conflict {
-                    doc: txn.writes[0].doc.clone(),
-                    detail: if rep.conservative {
-                        "commutation with an in-flight transaction could not be \
-                         proved within budget; retry after it completes"
-                            .to_owned()
-                    } else {
-                        "conflicts with an in-flight transaction; retry after it \
-                         completes"
-                            .to_owned()
-                    },
-                };
-                return proto::render_txn_denied(job.req.id, &err);
-            }
-        }
-        let token = shared.txn_tokens.fetch_add(1, Ordering::Relaxed);
-        inflight.push((token, ops));
-        token
-    };
-    // Unregister on every exit — including an unwinding detector panic —
-    // so a dead transaction can't wedge admission forever.
-    struct Unregister<'a> {
-        shared: &'a Shared,
-        token: u64,
-    }
-    impl Drop for Unregister<'_> {
-        fn drop(&mut self) {
-            lock(&self.shared.txn_inflight).retain(|(t, _)| *t != self.token);
-        }
-    }
-    let _guard = Unregister { shared, token };
-    let mut check =
-        |a: &Op, b: &Op| lock(shard.sched(job.req.semantics)).check_pair(a, b, deadline);
-    match shared.store.apply_txn(&txn.guards, &txn.writes, &mut check) {
-        Ok(out) => proto::render_txn_applied(job.req.id, &out),
-        Err(e) => proto::render_txn_denied(job.req.id, &e),
     }
 }
 

@@ -114,9 +114,9 @@ fn node_from_json(v: &Json) -> Result<(RevId, RevNode), WalError> {
     let deleted = v.get("deleted").and_then(Json::as_bool).unwrap_or(false);
     let seq = v.get("seq").and_then(Json::as_u64).unwrap_or(0);
     let content = match v.get("content").and_then(Json::as_str) {
-        Some(s) => {
-            Some(text::parse(s).map_err(|e| corrupt(format!("record content for {rev}: {e}")))?)
-        }
+        Some(s) => Some(
+            text::parse_stored(s).map_err(|e| corrupt(format!("record content for {rev}: {e}")))?,
+        ),
         None => None,
     };
     let op = match v.get("op") {

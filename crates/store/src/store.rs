@@ -1,57 +1,66 @@
 //! The store: named documents, MVCC puts, commutativity-aware merges,
 //! and the monotonic changes feed.
 //!
-//! # The put ladder
+//! # One write path
 //!
-//! `put(doc, base_rev, payload)` climbs the following ladder, top rung
-//! first; the ladder is the store's whole concurrency story:
+//! Every mutation — `put`, `delete`, `apply_txn` — is a *program*: an
+//! ordered list of writes, each naming a document and a payload, plus
+//! the base revision the caller read each document at (a put's
+//! `base_rev`, a transaction's guards). A put is a one-write program.
+//! One commit engine ([`Store::commit`]) runs every program through the
+//! same stages:
 //!
-//! 1. **Create** (`base_rev` absent, payload is content): mint
-//!    generation 1 — or, when the document's winner is a tombstone,
-//!    a child of that tombstone (resurrection keeps the history).
-//! 2. **Fast path** (`base_rev` *is* the winner): apply the payload to
-//!    the winner's content and commit a child. No detectors run.
-//! 3. **Auto-merge** (stale base, operation payload): collect the
-//!    updates on the chain from the base to the current winner and ask
-//!    the routed pairwise detectors about each `(intervening, new)`
-//!    pair. Only when *every* verdict is an **exact no-conflict** — the
-//!    paper's commutativity criterion, decided by a non-conservative
-//!    detector — is the new op applied on top of the winner. Exact
-//!    no-conflict means the two updates commute on *every* document, so
-//!    replaying the new op after the intervening ones is observationally
-//!    equal to some serial order that ran it at its base: linearization
-//!    holds without branching.
-//! 4. **Branch** (anything else): commit the payload as a *sibling*
-//!    child of the stale base and let the winner rule pick. Conflicting
-//!    pairs branch because merging would silently drop one side's
-//!    effect; **conservative verdicts branch too** — a degraded answer
-//!    (budget, deadline, panic) only says the detectors *could not
-//!    prove* commutation, and merging on a guess would trade
-//!    correctness for convenience. Branching is always sound: both
-//!    revisions survive, and the deterministic winner keeps every
-//!    replica agreeing meanwhile.
+//! 1. **Validate and snapshot** under the lock: every base names a known
+//!    revision, every written document exists (a base-less content put
+//!    creates it, or resurrects it over a tombstone winner), and a
+//!    read-only guard's document has not moved.
+//! 2. **Replay anchors.** Each write's anchor is the id it would mint
+//!    committed directly at its base, chained per document. When every
+//!    written document has a base and every anchor is already in the
+//!    tree — or in the document's alias map, which sends the anchors of
+//!    commits that landed elsewhere to the revs they minted — the
+//!    program is an idempotent retry and resolves to a noop at the
+//!    originally minted revisions. Without the alias map a retried
+//!    merged write would prove its op commutes with itself and apply
+//!    the edit twice.
+//! 3. **Plan.** A base that *is* the winner commits there (the fast
+//!    path; no detectors run). A stale base needs the operations on the
+//!    chain from the base to the winner, and operation payloads to
+//!    check against them; a whole-document write or tombstone commutes
+//!    with nothing.
+//! 4. **Prove**, with the store unlocked: ask the routed pairwise
+//!    detectors about every `(chain op, write op)` pair on the
+//!    document. Only when *every* verdict is an **exact no-conflict** —
+//!    the paper's commutativity criterion, decided by a non-conservative
+//!    detector — do the writes replay on the winner. Exact no-conflict
+//!    means the updates commute on *every* document, so replaying after
+//!    the intervening ones is observationally equal to a serial order
+//!    that ran the program at its base. Relocked, a winner that moved
+//!    meanwhile voids the proof: the engine retries a bounded number of
+//!    times.
+//! 5. **Stage, log, publish**: mint one revision per write against its
+//!    document's tip, append the batch to the WAL, then mutate memory.
+//!
+//! What happens when commutation is *not* proved is the entry point's
+//! [`Policy`], which callers cannot choose: a put **branches** — it
+//! commits as a sibling child of its base and the winner rule picks —
+//! and a transaction **refuses**, retryably, because a branch of half a
+//! program is not a serializable unit. The policy decides exactly three
+//! places: a chain that cannot be planned or proved (conflicting pairs
+//! *and* conservative verdicts — "could not prove" is not "commutes"), a
+//! winner that keeps moving, and an identical edit that raced in while
+//! the store was unlocked (a put answers it as a noop). Branching and
+//! refusing are both always sound.
 //!
 //! Rejections (unknown document, unknown base revision, creating over a
-//! live document, updating a tombstone) are the ladder's floor — they
-//! are *answers*, not failures, and the caller (cxu-serve) reports them
-//! as such.
-//!
-//! Before any rung runs, a **replay** of an already-committed
-//! `(base_rev, payload)` resolves to a noop at the originally minted
-//! revision. Fast-path and branch commits are found by deriving the id
-//! from the base; auto-merged commits minted their id from the
-//! then-winner, so each document keeps an alias map from the
-//! base-derived id to the merged rev — without it, a retried merged
-//! put would re-enter the merge rung, prove the op commutes with
-//! itself, and apply the edit twice.
+//! live document, updating a tombstone) are *answers*, not failures, and
+//! the caller (cxu-serve) reports them as such.
 //!
 //! # Locking
 //!
-//! One mutex guards the whole store; detector calls run **outside** it
-//! (rung 3 snapshots the chain, unlocks, checks, relocks, and verifies
-//! the winner did not move — retrying a bounded number of times before
-//! falling back to a branch). The store lock therefore never nests with
-//! a scheduler lock, and a slow NP-side check cannot stall readers.
+//! One mutex guards the whole store; detector calls run **outside** it.
+//! The store lock therefore never nests with a scheduler lock, and a
+//! slow NP-side check cannot stall readers.
 //!
 //! # Metrics
 //!
@@ -75,7 +84,7 @@ use cxu_index::DocIndex;
 use cxu_ops::Update;
 use cxu_sched::{Op, PairDecision};
 use cxu_tree::{text, Tree};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt;
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
@@ -87,20 +96,19 @@ pub struct StoreConfig {
     /// Admission bound on distinct documents; creates beyond it are
     /// rejected (existing documents keep accepting puts).
     pub max_docs: usize,
-    /// How many times a merge re-checks after losing the winner race
-    /// before giving up and branching at the base (branching is always
-    /// sound, so the bound only trades merge quality for liveness).
-    pub merge_retries: usize,
 }
 
 impl Default for StoreConfig {
     fn default() -> StoreConfig {
-        StoreConfig {
-            max_docs: 100_000,
-            merge_retries: 3,
-        }
+        StoreConfig { max_docs: 100_000 }
     }
 }
+
+/// How many times a commit re-proves after the winner moved under its
+/// unlocked detector calls before its [`Policy`] settles it. Branching
+/// and refusing are always sound, so the bound only trades merge
+/// quality for liveness.
+const WINNER_MOVED_RETRIES: usize = 3;
 
 /// Where and how a store persists. Absent (via [`Store::new`]) the
 /// store is purely in-memory — the pre-durability behavior.
@@ -137,7 +145,7 @@ pub enum PutPayload {
     /// write commutes with nothing.
     Content(Tree),
     /// An update operation, applied through `cxu-ops`; the only payload
-    /// the auto-merge rung accepts.
+    /// a stale base can merge.
     Op(Update),
     /// A tombstone (what `doc_delete` sends). Deletion of the whole
     /// document conflicts with every concurrent edit, so a stale-based
@@ -188,7 +196,7 @@ pub struct PutOutcome {
     pub result: PutResult,
     /// The document's position in the changes feed after the put.
     pub seq: u64,
-    /// Detector pairs consulted (0 outside the merge rung).
+    /// Detector pairs consulted (0 unless the base was stale).
     pub checked_pairs: usize,
 }
 
@@ -277,7 +285,7 @@ pub struct ChangeEntry {
     pub deleted: bool,
 }
 
-/// The callback the merge rung uses to consult the detectors. Called
+/// The callback the commit engine uses to consult the detectors. Called
 /// outside the store lock; `cxu-serve` backs it with
 /// `Scheduler::check_pair` under the request's deadline.
 pub type PairCheck<'a> = dyn FnMut(&Op, &Op) -> PairDecision + 'a;
@@ -302,10 +310,10 @@ pub struct TxnWrite {
 /// document's winner and asks the store to hold it to that
 /// observation. For a *written* document a stale guard may still
 /// commit — when every operation that landed since provably commutes
-/// with the transaction's own ops on it (the merge rung's criterion,
-/// lifted to op sets). For a *read-only* document the guard demands
-/// the winner still be exactly `rev`: there is no op of ours to
-/// commute with, so any movement invalidates the read.
+/// with the transaction's own ops on it (the criterion a stale put
+/// merges by). For a *read-only* document the guard demands the winner
+/// still be exactly `rev`: there is no op of ours to commute with, so
+/// any movement invalidates the read.
 #[derive(Clone, Debug)]
 pub struct TxnGuard {
     /// Document id.
@@ -388,12 +396,11 @@ struct DocState {
     revs: RevTree,
     /// The document's latest sequence number (its changes-feed slot).
     seq: u64,
-    /// Replay aliases for auto-merged puts. A merged put mints its
-    /// revision from the *winner*, so the id a replay would derive from
-    /// the client's `base_rev` is not in the tree; this map sends that
-    /// base-derived id to the rev the merge actually minted. Fast-path
-    /// and branch commits need no entry — their minted id *is* the
-    /// base-derived one, which the tree lookup already catches.
+    /// Replay aliases: a commit records one iff its replay anchor (the
+    /// id derived from the caller's base) differs from the rev it
+    /// minted — a merged write mints from the *winner*, so the anchor a
+    /// retry derives is not in the tree. Fast-path and branch commits
+    /// need no entry: their minted id *is* the anchor.
     merge_aliases: HashMap<RevId, RevId>,
 }
 
@@ -420,8 +427,8 @@ struct Inner {
     docs: HashMap<String, DocState>,
     /// One indexed snapshot per document, valid only while `rev` is
     /// still the winner. Invalidated at the single commit point
-    /// ([`Inner::commit`]), so every put — applied, merged, branched,
-    /// or recovered replay — drops the stale entry.
+    /// ([`Inner::publish`]), so every write — applied, merged, branched,
+    /// or transactional — drops the stale entry.
     index_cache: HashMap<String, Arc<IndexedDoc>>,
     /// Global commit counter; strictly increases with every commit.
     seq: u64,
@@ -449,56 +456,162 @@ impl Default for Store {
     }
 }
 
-/// What the commit helper needs to mint one revision.
-struct Commit {
-    parent: Option<RevId>,
-    deleted: bool,
-    content: Option<Tree>,
-    op: Option<Update>,
+/// What the commit engine does when it cannot prove a program's writes
+/// commute with what committed since their base. Fixed by the entry
+/// point; callers cannot choose it.
+#[derive(Clone, Copy)]
+enum Policy {
+    /// `put`/`delete`: commit as a sibling of the base and let the
+    /// winner rule arbitrate. Branch programs carry exactly one write.
+    Branch,
+    /// `apply_txn`: refuse the whole program with a retryable
+    /// [`TxnError::Conflict`].
+    Refuse,
+}
+
+/// One document of a program, as the engine plans it.
+struct Plan<'a> {
+    doc: &'a str,
+    /// The revision the caller read the document at.
+    base: Option<RevId>,
+    /// The winner at snapshot time (`None` for a document being created).
+    winner: Option<RevId>,
+    /// Where the document's first write lands.
+    at: Option<RevId>,
+    /// How the document's writes land.
+    rung: PutResult,
+    /// The ops committed between `base` and `winner`, which every write
+    /// on the document must commute with.
+    chain: Vec<Update>,
+}
+
+impl Policy {
+    /// Settles a document whose commutation could not be proved: a put
+    /// falls back to a branch at its base, a transaction refuses.
+    fn unproved(self, p: &mut Plan<'_>, detail: impl FnOnce() -> String) -> Result<(), TxnError> {
+        match self {
+            Policy::Branch => {
+                p.at = p.base;
+                p.rung = PutResult::Branched;
+                Ok(())
+            }
+            Policy::Refuse => Err(TxnError::Conflict {
+                doc: p.doc.to_owned(),
+                detail: detail(),
+            }),
+        }
+    }
+}
+
+/// One staged revision, ready to log and publish.
+struct Staged<'a> {
+    doc: &'a str,
+    rev: RevId,
+    node: RevNode,
+    rung: PutResult,
+    alias: Option<RevId>,
+}
+
+/// What the engine answered, read under the lock that committed (or
+/// found) it.
+struct Committed {
+    /// One revision per write, in program order.
+    revs: Vec<(String, RevId)>,
+    /// The first document's rung; [`PutResult::Noop`] when nothing new
+    /// was committed.
+    result: PutResult,
+    /// The store's sequence number.
+    seq: u64,
+    /// The first document's winner, whether it is a tombstone, and its
+    /// changes-feed slot.
+    head: (RevId, bool, u64),
+}
+
+/// The detector work one engine call did, counted by the entry point
+/// under its own metric names.
+#[derive(Default)]
+struct Work {
+    checked: usize,
+    retries: u64,
+    refuted: bool,
 }
 
 impl Inner {
-    /// Mints one revision: logs the outcome (durable per policy),
-    /// *then* mutates memory. On a WAL error nothing is applied — the
-    /// disk can run ahead of memory across a crash (replay is
-    /// idempotent), but memory must never run ahead of the disk, or a
-    /// restart would silently lose an acked write.
-    fn commit(
-        &mut self,
-        doc_id: &str,
-        rev: RevId,
-        c: Commit,
-        result: PutResult,
-        alias: Option<RevId>,
-    ) -> Result<u64, StoreError> {
-        let seq = self.seq + 1;
-        let node = RevNode {
-            parent: c.parent,
-            deleted: c.deleted,
-            content: c.content,
-            op: c.op,
-            seq,
-        };
+    /// Logs a staged batch (durable per policy), *then* publishes it to
+    /// memory. On a WAL error nothing is applied — the disk can run
+    /// ahead of memory across a crash (replay is idempotent), but memory
+    /// must never run ahead of the disk, or a restart would silently
+    /// lose an acked write.
+    fn publish(&mut self, policy: Policy, staged: Vec<Staged<'_>>) -> Result<(), StoreError> {
         if let Some(d) = &mut self.durable {
-            let body = recovery::record_body(doc_id, &rev, &node, result.name(), alias.as_ref());
+            // A put logs one standalone record naming its rung. A
+            // transaction logs one `{"txn": [...]}` frame, even for a
+            // single write: one checksum, so the torn-tail rule keeps
+            // the whole program or none of it.
+            let body = match policy {
+                Policy::Branch => {
+                    let s = &staged[0];
+                    recovery::record_body(s.doc, &s.rev, &s.node, s.rung.name(), s.alias.as_ref())
+                }
+                Policy::Refuse => recovery::txn_body(
+                    staged
+                        .iter()
+                        .map(|s| {
+                            recovery::record_json(
+                                s.doc,
+                                &s.rev,
+                                &s.node,
+                                "applied",
+                                s.alias.as_ref(),
+                            )
+                        })
+                        .collect(),
+                ),
+            };
             d.wal.append(body.as_bytes()).map_err(from_wal)?;
         }
-        self.seq = seq;
-        self.index_cache.remove(doc_id);
-        let doc = self.docs.get_mut(doc_id).expect("commit target exists");
-        if doc.seq != 0 {
-            self.by_seq.remove(&doc.seq);
+        self.seq += staged.len() as u64;
+        self.revisions += staged.len() as u64;
+        for s in staged {
+            self.index_cache.remove(s.doc);
+            if !self.docs.contains_key(s.doc) {
+                self.docs.insert(
+                    s.doc.to_owned(),
+                    DocState {
+                        revs: RevTree::new(),
+                        seq: 0,
+                        merge_aliases: HashMap::new(),
+                    },
+                );
+            }
+            let doc = self.docs.get_mut(s.doc).expect("inserted above");
+            if doc.seq != 0 {
+                self.by_seq.remove(&doc.seq);
+            }
+            doc.seq = s.node.seq;
+            self.by_seq.insert(s.node.seq, s.doc.to_owned());
+            if let Some(a) = s.alias {
+                doc.merge_aliases.insert(a, s.rev);
+            }
+            let inserted = doc.revs.insert(s.rev, s.node);
+            debug_assert!(inserted, "staging is only reached for fresh revisions");
         }
-        let inserted = doc.revs.insert(rev, node);
-        debug_assert!(inserted, "commit is only reached for fresh revisions");
-        doc.seq = seq;
-        if let Some(a) = alias {
-            doc.merge_aliases.insert(a, rev);
-        }
-        self.by_seq.insert(seq, doc_id.to_owned());
-        self.revisions += 1;
         self.maybe_compact();
-        Ok(seq)
+        Ok(())
+    }
+
+    /// The engine's answer for `revs`: the store's sequence number and
+    /// the first written document's head.
+    fn answer(&self, revs: Vec<(String, RevId)>, result: PutResult) -> Committed {
+        let doc = &self.docs[revs[0].0.as_str()];
+        let winner = doc.revs.winner().expect("known documents are nonempty");
+        let deleted = doc.revs.get(&winner).expect("winner exists").deleted;
+        Committed {
+            head: (winner, deleted, doc.seq),
+            revs,
+            result,
+            seq: self.seq,
+        }
     }
 
     /// Compacts when the log has grown past the configured bound. A
@@ -541,17 +654,9 @@ impl Inner {
 fn payload_text(payload: &PutPayload) -> String {
     match payload {
         PutPayload::Content(t) => format!("content\0{}", text::to_text(t)),
-        PutPayload::Op(u) => op_payload_text(u),
+        PutPayload::Op(u) => format!("update\0{}", wire::stmt_to_json(&Stmt::Update(u.clone()))),
         PutPayload::Tombstone => "tombstone".to_owned(),
     }
-}
-
-/// The operation payload's canonical text (shared by single-op puts
-/// and transaction writes, so the same edit at the same parent mints
-/// the same revision id through either path).
-fn op_payload_text(u: &Update) -> String {
-    let stmt = Stmt::Update(u.clone());
-    format!("update\0{}", wire::stmt_to_json(&stmt))
 }
 
 impl Store {
@@ -675,9 +780,9 @@ impl Store {
         self.inner.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Puts `payload` against `base_rev`, climbing the module-level
-    /// ladder. `check` is consulted only on the auto-merge rung, with
-    /// the store unlocked.
+    /// Puts `payload` against `base_rev`: a one-write program whose
+    /// policy branches (see the module docs). `check` is consulted only
+    /// for a stale operation, with the store unlocked.
     pub fn put(
         &self,
         doc_id: &str,
@@ -686,22 +791,63 @@ impl Store {
         check: &mut PairCheck<'_>,
     ) -> Result<PutOutcome, StoreError> {
         let t0 = Instant::now();
-        let out = self.put_inner(doc_id, base_rev, payload, Some(check));
+        let out = self.put_one(doc_id, base_rev, payload, check);
         Self::tally_put(&out);
         cxu_obs::histogram!("store.put_ns").record_since(t0);
         out
     }
 
     /// Tombstones the document at `base_rev`. A delete is a put of a
-    /// tombstone: same ladder, except the merge rung is skipped
-    /// (whole-document deletion commutes with nothing).
+    /// tombstone, which commutes with nothing, so a stale delete always
+    /// branches and never reaches the detectors.
     pub fn delete(&self, doc_id: &str, base_rev: RevId) -> Result<PutOutcome, StoreError> {
         let t0 = Instant::now();
-        let out = self.put_inner(doc_id, Some(base_rev), PutPayload::Tombstone, None);
+        let mut never = |_: &Op, _: &Op| -> PairDecision {
+            unreachable!("a tombstone is never checked against the detectors")
+        };
+        let out = self.put_one(doc_id, Some(base_rev), PutPayload::Tombstone, &mut never);
         Self::tally_put(&out);
         cxu_obs::counter!("store.deletes").inc();
         cxu_obs::histogram!("store.put_ns").record_since(t0);
         out
+    }
+
+    fn put_one(
+        &self,
+        doc_id: &str,
+        base_rev: Option<RevId>,
+        payload: PutPayload,
+        check: &mut PairCheck<'_>,
+    ) -> Result<PutOutcome, StoreError> {
+        if base_rev.is_none() && !matches!(payload, PutPayload::Content(_)) {
+            return Err(StoreError::Conflict(
+                "a put without base_rev must carry full content".to_owned(),
+            ));
+        }
+        let base = base_rev.map(|b| (doc_id, b));
+        let mut work = Work::default();
+        let out = self.commit(
+            Policy::Branch,
+            base.as_slice(),
+            &[(doc_id, payload)],
+            check,
+            &mut work,
+        );
+        cxu_obs::counter!("store.merge.checked_pairs").add(work.checked as u64);
+        cxu_obs::counter!("store.put.retries").add(work.retries);
+        let c = out.map_err(|e| match e {
+            TxnError::Rejected(e) => e,
+            TxnError::Conflict { detail, .. } => StoreError::Conflict(detail),
+        })?;
+        let (winner, winner_deleted, seq) = c.head;
+        Ok(PutOutcome {
+            rev: c.revs[0].1,
+            winner,
+            winner_deleted,
+            result: c.result,
+            seq,
+            checked_pairs: work.checked,
+        })
     }
 
     fn tally_put(out: &Result<PutOutcome, StoreError>) {
@@ -728,10 +874,10 @@ impl Store {
     /// visible in one changes-feed step per document — or nothing
     /// changes at all.
     ///
-    /// Admission is optimistic, the merge rung's criterion lifted to
-    /// transactions: a guard whose revision is no longer the winner
-    /// does not fail outright — the operations that landed in between
-    /// are checked pairwise against the transaction's own ops on that
+    /// A transaction is a program whose policy refuses (see the module
+    /// docs): a guard whose revision is no longer the winner does not
+    /// fail outright — the operations that landed in between are
+    /// checked pairwise against the transaction's own ops on that
     /// document, and only when *every* pair is an exact, non-degraded
     /// no-conflict does the transaction replay on the current winner.
     /// Any genuine conflict, any conservative verdict, or a read-only
@@ -741,8 +887,7 @@ impl Store {
     ///
     /// Same-document writes chain — the second op applies to the
     /// first's result — and detector calls run with the store
-    /// unlocked, re-verifying winner stability before committing
-    /// (bounded by `merge_retries`, like the put ladder).
+    /// unlocked, re-verifying winner stability before committing.
     ///
     /// Retries are idempotent when **every written document carries a
     /// guard**: each write's client-view revision id (derived by
@@ -792,516 +937,317 @@ impl Store {
                 writes.len()
             ))));
         }
-        let mut guard_of: HashMap<&str, RevId> = HashMap::new();
-        for g in guards {
-            if guard_of.insert(g.doc.as_str(), g.rev).is_some() {
-                return Err(reject(StoreError::Conflict(format!(
-                    "duplicate guard for document {:?}",
-                    g.doc
-                ))));
-            }
+        let mut guarded = HashSet::new();
+        if let Some(g) = guards.iter().find(|g| !guarded.insert(g.doc.as_str())) {
+            return Err(reject(StoreError::Conflict(format!(
+                "duplicate guard for document {:?}",
+                g.doc
+            ))));
         }
-        // Written documents in first-touch order (small sets; a scan
-        // beats hashing).
-        let mut write_docs: Vec<&str> = Vec::new();
-        for w in writes {
-            if !write_docs.contains(&w.doc.as_str()) {
-                write_docs.push(&w.doc);
-            }
+        let guards: Vec<(&str, RevId)> = guards.iter().map(|g| (g.doc.as_str(), g.rev)).collect();
+        let writes: Vec<(&str, PutPayload)> = writes
+            .iter()
+            .map(|w| (w.doc.as_str(), PutPayload::Op(w.op.clone())))
+            .collect();
+        let mut work = Work::default();
+        let out = self.commit(Policy::Refuse, &guards, &writes, check, &mut work);
+        cxu_obs::counter!("txn.pair.checked").add(work.checked as u64);
+        if work.refuted {
+            cxu_obs::counter!("txn.pair.conflicts").inc();
         }
-        let all_guarded = write_docs.iter().all(|d| guard_of.contains_key(d));
-        let payload_strs: Vec<String> = writes.iter().map(|w| op_payload_text(&w.op)).collect();
+        cxu_obs::counter!("txn.retries").add(work.retries);
+        let c = out?;
+        Ok(TxnOutcome {
+            revs: c.revs,
+            seq: c.seq,
+            checked_pairs: work.checked,
+            replayed: c.result == PutResult::Noop,
+        })
+    }
 
-        struct DocPlan {
-            winner: RevId,
-            tree: Tree,
-            /// Ops between a stale guard and the winner (empty when the
-            /// guard is current or absent).
-            chain: Vec<Update>,
+    /// The commit engine behind [`Store::put`], [`Store::delete`], and
+    /// [`Store::apply_txn`]: runs `writes` against the `bases` the
+    /// caller read its documents at, through the stages of the module
+    /// docs, and settles unproved commutation by `policy`. Counts its
+    /// detector work into `work`, answered or refused.
+    fn commit(
+        &self,
+        policy: Policy,
+        bases: &[(&str, RevId)],
+        writes: &[(&str, PutPayload)],
+        check: &mut PairCheck<'_>,
+        work: &mut Work,
+    ) -> Result<Committed, TxnError> {
+        let reject = TxnError::Rejected;
+        let texts: Vec<String> = writes.iter().map(|(_, p)| payload_text(p)).collect();
+        // Documents in first-touch order, written ones first; `slot[i]`
+        // is write i's document.
+        let mut index: HashMap<&str, usize> = HashMap::new();
+        let mut docs: Vec<&str> = Vec::new();
+        for d in writes.iter().map(|w| w.0).chain(bases.iter().map(|b| b.0)) {
+            index.entry(d).or_insert_with(|| {
+                docs.push(d);
+                docs.len() - 1
+            });
+        }
+        let slot: Vec<usize> = writes.iter().map(|w| index[w.0]).collect();
+        let n_written = slot.iter().max().map_or(0, |&k| k + 1);
+        let mut base = vec![None; docs.len()];
+        for &(d, rev) in bases {
+            base[index[d]] = Some(rev);
         }
 
-        let mut attempts = 0usize;
-        let mut checked_total = 0usize;
-        'retry: loop {
-            // Phase 1 — validate and snapshot under the lock.
+        let mut attempts = 0;
+        loop {
+            // 1. Validate and snapshot.
             let mut inner = self.lock();
-            for g in guards {
-                let doc = inner
-                    .docs
-                    .get(&g.doc)
-                    .ok_or_else(|| reject(StoreError::NotFound(g.doc.clone())))?;
-                if !doc.revs.contains(&g.rev) {
-                    return Err(reject(StoreError::UnknownRev(format!(
-                        "document {:?} has no revision {}",
-                        g.doc, g.rev
-                    ))));
-                }
-            }
-            let mut plans: HashMap<&str, DocPlan> = HashMap::new();
-            for &d in &write_docs {
+            for &(d, rev) in bases {
                 let doc = inner
                     .docs
                     .get(d)
                     .ok_or_else(|| reject(StoreError::NotFound(d.to_owned())))?;
-                let winner = doc.revs.winner().expect("known documents are nonempty");
-                let wnode = doc.revs.get(&winner).expect("winner exists");
-                if wnode.deleted {
-                    return Err(reject(StoreError::Conflict(format!(
-                        "document {d:?} is deleted; transactions edit live documents"
+                if !doc.revs.contains(&rev) {
+                    return Err(reject(StoreError::UnknownRev(format!(
+                        "document {d:?} has no revision {rev}"
                     ))));
                 }
-                let chain = match guard_of.get(d) {
-                    Some(g) if *g != winner => match Self::plan_chain(&doc.revs, g, &winner) {
-                        Some(ops) => ops,
-                        None => {
-                            return Err(TxnError::Conflict {
-                                doc: d.to_owned(),
-                                detail: format!("guard {g} cannot linearize to winner {winner}"),
-                            })
-                        }
-                    },
-                    _ => Vec::new(),
-                };
-                plans.insert(
-                    d,
-                    DocPlan {
-                        winner,
-                        tree: wnode.content.clone().expect("live winners carry content"),
-                        chain,
-                    },
-                );
             }
-            // Read-only guards demand an unmoved winner.
-            for g in guards {
-                if plans.contains_key(g.doc.as_str()) {
+            let mut plans: Vec<Plan> = Vec::with_capacity(docs.len());
+            for (k, &d) in docs.iter().enumerate() {
+                let state = inner.docs.get(d);
+                let winner = state.and_then(|s| s.revs.winner());
+                let mut rung = PutResult::Applied;
+                match (base[k], winner) {
+                    // A read-only guard holds the program to exactly
+                    // what it read.
+                    (Some(b), Some(w)) if k >= n_written && b != w => {
+                        return Err(TxnError::Conflict {
+                            doc: d.to_owned(),
+                            detail: format!("read guard at {b} but the winner is {w}"),
+                        });
+                    }
+                    // A base-less content write creates the document,
+                    // or resurrects it over a tombstone winner.
+                    (None, _)
+                        if writes
+                            .iter()
+                            .any(|(wd, p)| *wd == d && matches!(p, PutPayload::Content(_))) =>
+                    {
+                        match (state, winner) {
+                            (Some(s), Some(w))
+                                if !s.revs.get(&w).expect("winner exists").deleted =>
+                            {
+                                return Err(reject(StoreError::Conflict(format!(
+                                    "document {d:?} exists at {w}; supply base_rev"
+                                ))));
+                            }
+                            (None, _) if inner.docs.len() >= self.cfg.max_docs => {
+                                return Err(reject(StoreError::TooManyDocs));
+                            }
+                            _ => rung = PutResult::Created,
+                        }
+                    }
+                    (_, None) => return Err(reject(StoreError::NotFound(d.to_owned()))),
+                    _ => {}
+                }
+                plans.push(Plan {
+                    doc: d,
+                    base: base[k],
+                    winner,
+                    at: winner,
+                    rung,
+                    chain: Vec::new(),
+                });
+            }
+
+            // 2. Replay anchors: the id each write would mint committed
+            // directly at its base, chained per document — deterministic
+            // in the caller's inputs, so a retry derives the same ones.
+            let mut tips: Vec<Option<RevId>> = plans.iter().map(|p| p.base.or(p.winner)).collect();
+            let anchors: Vec<RevId> = writes
+                .iter()
+                .zip(&texts)
+                .zip(&slot)
+                .map(|(((_, p), text), &k)| {
+                    let a =
+                        RevId::derive(tips[k].as_ref(), text, matches!(p, PutPayload::Tombstone));
+                    tips[k] = Some(a);
+                    a
+                })
+                .collect();
+            if plans[..n_written].iter().all(|p| p.base.is_some()) {
+                let found: Option<Vec<(String, RevId)>> = writes
+                    .iter()
+                    .zip(&anchors)
+                    .map(|((d, _), a)| {
+                        let doc = &inner.docs[*d];
+                        let prior = if doc.revs.contains(a) {
+                            Some(*a)
+                        } else {
+                            doc.merge_aliases.get(a).copied()
+                        };
+                        prior.map(|r| (d.to_string(), r))
+                    })
+                    .collect();
+                if let Some(revs) = found {
+                    return Ok(inner.answer(revs, PutResult::Noop));
+                }
+            }
+
+            // 3. Plan each stale document's op chain.
+            for p in &mut plans[..n_written] {
+                let (Some(b), Some(w)) = (p.base, p.winner) else {
+                    continue;
+                };
+                if b == w {
                     continue;
                 }
-                let doc = inner.docs.get(&g.doc).expect("validated above");
-                let winner = doc.revs.winner().expect("known documents are nonempty");
-                if winner != g.rev {
-                    return Err(TxnError::Conflict {
-                        doc: g.doc.clone(),
-                        detail: format!("read guard at {} but the winner is {winner}", g.rev),
-                    });
+                let ops_only = writes
+                    .iter()
+                    .all(|(d, pl)| *d != p.doc || matches!(pl, PutPayload::Op(_)));
+                match ops_only
+                    .then(|| Self::plan_chain(&inner.docs[p.doc].revs, &b, &w))
+                    .flatten()
+                {
+                    Some(chain) => {
+                        p.chain = chain;
+                        p.rung = PutResult::Merged;
+                    }
+                    None => policy
+                        .unproved(p, || format!("guard {b} cannot linearize to winner {w}"))?,
                 }
             }
 
-            // Client-view replay anchors: the id each write would mint
-            // if committed directly at its guard, chained per document.
-            // Deterministic in the client's inputs alone (for guarded
-            // documents), so a retry derives the same anchors.
-            let mut anchor_tip: HashMap<&str, RevId> = write_docs
-                .iter()
-                .map(|&d| (d, guard_of.get(d).copied().unwrap_or(plans[d].winner)))
-                .collect();
-            let mut anchors = Vec::with_capacity(writes.len());
-            for (w, p) in writes.iter().zip(&payload_strs) {
-                let tip = anchor_tip.get_mut(w.doc.as_str()).expect("planned above");
-                let a = RevId::derive(Some(tip), p, false);
-                *tip = a;
-                anchors.push(a);
-            }
-            if all_guarded {
-                let mut resolved = Vec::with_capacity(writes.len());
-                for (w, a) in writes.iter().zip(&anchors) {
-                    let doc = inner.docs.get(&w.doc).expect("planned above");
-                    let prior = if doc.revs.contains(a) {
-                        Some(*a)
-                    } else {
-                        doc.merge_aliases.get(a).copied()
-                    };
-                    match prior {
-                        Some(r) => resolved.push((w.doc.clone(), r)),
-                        None => {
-                            resolved.clear();
-                            break;
+            // 4. Prove every (chain op, write op) pair, store unlocked.
+            let mut pairs: Vec<(usize, Op, Op)> = Vec::new();
+            for (k, p) in plans.iter().enumerate() {
+                for iv in &p.chain {
+                    for ((_, pl), _) in writes.iter().zip(&slot).filter(|(_, &s)| s == k) {
+                        if let PutPayload::Op(u) = pl {
+                            pairs.push((k, Op::Update(iv.clone()), Op::Update(u.clone())));
                         }
                     }
                 }
-                if resolved.len() == writes.len() {
-                    // Every write already committed: an idempotent
-                    // retry of the whole transaction.
-                    return Ok(TxnOutcome {
-                        revs: resolved,
-                        seq: inner.seq,
-                        checked_pairs: checked_total,
-                        replayed: true,
-                    });
-                }
             }
-
-            // Phase 2 — prove stale guards commute, detectors outside
-            // the lock. Each intervening op must commute with *every*
-            // transaction op on that document.
-            let mut to_check: Vec<(&str, Op, Op)> = Vec::new();
-            for &d in &write_docs {
-                for iv in &plans[d].chain {
-                    for w in writes.iter().filter(|w| w.doc == d) {
-                        to_check.push((d, Op::Update(iv.clone()), Op::Update(w.op.clone())));
-                    }
-                }
-            }
-            if !to_check.is_empty() {
-                let snap: Vec<(String, RevId)> = plans
-                    .iter()
-                    .map(|(d, p)| (d.to_string(), p.winner))
-                    .chain(
-                        guards
-                            .iter()
-                            .filter(|g| !plans.contains_key(g.doc.as_str()))
-                            .map(|g| (g.doc.clone(), g.rev)),
-                    )
-                    .collect();
+            if !pairs.is_empty() {
                 drop(inner);
-                let round_start = checked_total;
-                let mut conflict: Option<(&str, bool)> = None;
-                for (d, a, b) in &to_check {
-                    let dec = check(a, b);
-                    checked_total += 1;
-                    if dec.verdict.conflict || dec.verdict.detector.is_conservative() {
-                        conflict = Some((*d, dec.verdict.detector.is_conservative()));
-                        break;
-                    }
-                }
-                cxu_obs::counter!("txn.pair.checked").add((checked_total - round_start) as u64);
-                if let Some((d, conservative)) = conflict {
-                    cxu_obs::counter!("txn.pair.conflicts").inc();
-                    return Err(TxnError::Conflict {
-                        doc: d.to_owned(),
-                        detail: if conservative {
+                let refuted = pairs.iter().find_map(|(k, a, b)| {
+                    let v = check(a, b).verdict;
+                    work.checked += 1;
+                    let conservative = v.detector.is_conservative();
+                    (v.conflict || conservative).then_some((*k, conservative))
+                });
+                if let Some((k, conservative)) = refuted {
+                    work.refuted = true;
+                    policy.unproved(&mut plans[k], || {
+                        if conservative {
                             "an intervening operation could not be proved to commute \
                              (degraded verdict)"
                                 .to_owned()
                         } else {
                             "an intervening operation conflicts with the transaction".to_owned()
-                        },
-                    });
+                        }
+                    })?;
                 }
                 inner = self.lock();
-                for (d, rev) in &snap {
-                    let moved = match inner.docs.get(d) {
-                        Some(doc) => doc.revs.winner() != Some(*rev),
-                        None => true,
-                    };
-                    if moved {
-                        if attempts < self.cfg.merge_retries {
-                            attempts += 1;
-                            cxu_obs::counter!("txn.retries").inc();
-                            drop(inner);
-                            continue 'retry;
-                        }
-                        return Err(TxnError::Conflict {
-                            doc: d.clone(),
-                            detail: "the winner kept moving during validation".to_owned(),
-                        });
+                // A moved winner voids the proof (a branch does not
+                // care: it lands at its base).
+                let moved = plans.iter().position(|p| {
+                    p.rung != PutResult::Branched
+                        && inner.docs.get(p.doc).and_then(|s| s.revs.winner()) != p.winner
+                });
+                if let Some(k) = moved {
+                    if attempts < WINNER_MOVED_RETRIES {
+                        attempts += 1;
+                        work.retries += 1;
+                        continue;
                     }
+                    policy.unproved(&mut plans[k], || {
+                        "the winner kept moving during validation".to_owned()
+                    })?;
                 }
             }
 
-            // Phase 3 — stage and commit atomically, lock held, every
-            // winner exactly as planned. Same-document writes chain.
-            let mut minted: Vec<(String, RevId)> = Vec::with_capacity(writes.len());
-            let mut records: Vec<cxu_gen::json::Json> = Vec::with_capacity(writes.len());
-            let mut staged: Vec<(String, RevId, RevNode, Option<RevId>)> =
-                Vec::with_capacity(writes.len());
-            let mut tips: HashMap<&str, (RevId, Tree)> = plans
-                .iter()
-                .map(|(&d, p)| (d, (p.winner, p.tree.clone())))
-                .collect();
+            // 5. Stage each write against its document's tip (chaining
+            // same-document writes), then log and publish.
             let base_seq = inner.seq;
-            for (i, (w, pstr)) in writes.iter().zip(&payload_strs).enumerate() {
-                let (parent, tree) = tips.get_mut(w.doc.as_str()).expect("planned above");
-                let rev = RevId::derive(Some(&*parent), pstr, false);
-                if inner
-                    .docs
-                    .get(&w.doc)
-                    .is_some_and(|doc| doc.revs.contains(&rev))
-                {
-                    // An identical edit at the same parent raced in
-                    // while unlocked. Reusing it would weld half this
-                    // transaction to someone else's commit; hand the
-                    // race back instead.
-                    return Err(TxnError::Conflict {
-                        doc: w.doc.clone(),
-                        detail: format!("revision {rev} already exists; identical edit raced in"),
-                    });
-                }
-                let (new_tree, _) = w.op.apply_to_copy(tree);
-                let seq = base_seq + i as u64 + 1;
-                let node = RevNode {
-                    parent: Some(*parent),
-                    deleted: false,
-                    content: Some(new_tree.clone()),
-                    op: Some(w.op.clone()),
-                    seq,
+            let mut last: Vec<Option<usize>> = vec![None; plans.len()];
+            let mut staged: Vec<Staged> = Vec::with_capacity(writes.len());
+            for (i, (((d, pl), text), &k)) in writes.iter().zip(&texts).zip(&slot).enumerate() {
+                let (tip, tree) = match last[k] {
+                    Some(j) => (Some(staged[j].rev), staged[j].node.content.as_ref()),
+                    None => {
+                        let at = plans[k].at;
+                        let node = at.and_then(|r| inner.docs.get(*d)?.revs.get(&r));
+                        (at, node.and_then(|n| n.content.as_ref()))
+                    }
                 };
-                let alias = (anchors[i] != rev).then_some(anchors[i]);
-                records.push(recovery::record_json(
-                    &w.doc,
-                    &rev,
-                    &node,
-                    "applied",
-                    alias.as_ref(),
-                ));
-                minted.push((w.doc.clone(), rev));
-                staged.push((w.doc.clone(), rev, node, alias));
-                *parent = rev;
-                *tree = new_tree;
-            }
-            // One frame, one checksum: the WAL either holds the whole
-            // transaction or none of it. Log first, mutate after — as
-            // everywhere, memory must never run ahead of the disk.
-            if let Some(d) = &mut inner.durable {
-                let body = recovery::txn_body(records);
-                d.wal
-                    .append(body.as_bytes())
-                    .map_err(|e| reject(from_wal(e)))?;
-            }
-            inner.seq = base_seq + writes.len() as u64;
-            for &d in &write_docs {
-                // Exactly one invalidation per document, however many
-                // generations this transaction advanced it.
-                inner.index_cache.remove(d);
-            }
-            let mut slots: Vec<(String, u64, u64)> = Vec::with_capacity(write_docs.len());
-            for (doc_id, rev, node, alias) in staged {
-                let node_seq = node.seq;
-                let doc = inner.docs.get_mut(&doc_id).expect("planned above");
-                let inserted = doc.revs.insert(rev, node);
-                debug_assert!(inserted, "staging is only reached for fresh revisions");
-                if let Some(a) = alias {
-                    doc.merge_aliases.insert(a, rev);
+                let at = || tip.expect("only creates lack a tip");
+                let (content, deleted) = match (pl, tree) {
+                    (PutPayload::Content(t), _) => (Some(t.clone()), false),
+                    (PutPayload::Op(u), Some(t)) => (Some(u.apply_to_copy(t).0), false),
+                    (PutPayload::Op(_), None) => {
+                        return Err(reject(StoreError::Conflict(format!(
+                            "revision {} of {d:?} is deleted; operations need a live base",
+                            at()
+                        ))));
+                    }
+                    (PutPayload::Tombstone, Some(_)) => (None, true),
+                    (PutPayload::Tombstone, None) => {
+                        return Err(reject(StoreError::Conflict(format!(
+                            "revision {} of {d:?} is already deleted",
+                            at()
+                        ))));
+                    }
+                };
+                let rev = RevId::derive(tip.as_ref(), text, deleted);
+                if inner.docs.get(*d).is_some_and(|s| s.revs.contains(&rev)) {
+                    // An identical edit at the same parent raced in
+                    // while the store was unlocked. A put is that edit;
+                    // a transaction would weld half of itself to
+                    // someone else's commit, so it hands the race back.
+                    return match policy {
+                        Policy::Branch => {
+                            Ok(inner.answer(vec![(d.to_string(), rev)], PutResult::Noop))
+                        }
+                        Policy::Refuse => Err(TxnError::Conflict {
+                            doc: d.to_string(),
+                            detail: format!(
+                                "revision {rev} already exists; identical edit raced in"
+                            ),
+                        }),
+                    };
                 }
-                match slots.iter_mut().find(|(d, ..)| *d == doc_id) {
-                    Some(slot) => slot.2 = node_seq,
-                    None => slots.push((doc_id, doc.seq, node_seq)),
-                }
-            }
-            inner.revisions += writes.len() as u64;
-            for (doc_id, old_seq, new_seq) in slots {
-                if old_seq != 0 {
-                    inner.by_seq.remove(&old_seq);
-                }
-                inner.docs.get_mut(&doc_id).expect("planned above").seq = new_seq;
-                inner.by_seq.insert(new_seq, doc_id);
-            }
-            inner.maybe_compact();
-            return Ok(TxnOutcome {
-                revs: minted,
-                seq: inner.seq,
-                checked_pairs: checked_total,
-                replayed: false,
-            });
-        }
-    }
-
-    fn put_inner(
-        &self,
-        doc_id: &str,
-        base_rev: Option<RevId>,
-        payload: PutPayload,
-        mut check: Option<&mut PairCheck<'_>>,
-    ) -> Result<PutOutcome, StoreError> {
-        let payload_str = payload_text(&payload);
-        let deleted = matches!(payload, PutPayload::Tombstone);
-
-        let Some(base) = base_rev else {
-            return self.create(doc_id, payload, &payload_str);
-        };
-
-        // Idempotence anchor: the id this put would mint if committed
-        // directly at its base. Fast-path and branch commits mint
-        // exactly this id; merged commits record it as an alias. Either
-        // way, a replay of the same (base, payload) resolves here.
-        let replay = RevId::derive(Some(&base), &payload_str, deleted);
-
-        let mut attempts = 0usize;
-        let mut checked_total = 0usize;
-        loop {
-            let mut inner = self.lock();
-            let doc = inner
-                .docs
-                .get(doc_id)
-                .ok_or_else(|| StoreError::NotFound(doc_id.to_owned()))?;
-            if !doc.revs.contains(&base) {
-                return Err(StoreError::UnknownRev(format!(
-                    "document {doc_id:?} has no revision {base}"
-                )));
-            }
-            let winner = doc.revs.winner().expect("known documents are nonempty");
-
-            // Idempotence: the same edit against the same base is a
-            // noop at the originally minted rev, whether it first
-            // landed on the fast path, as a branch — or as a merge,
-            // whose minted rev hangs off the then-winner and is reached
-            // through the alias map. Re-running a merged put through
-            // the detectors instead would re-apply it: the op commutes
-            // with itself, so the merge rung cannot tell a replay from
-            // a fresh edit.
-            let prior = if doc.revs.contains(&replay) {
-                Some(replay)
-            } else {
-                doc.merge_aliases.get(&replay).copied()
-            };
-            if let Some(prior) = prior {
-                return Ok(PutOutcome {
-                    rev: prior,
-                    winner,
-                    winner_deleted: doc.revs.get(&winner).expect("winner exists").deleted,
-                    result: PutResult::Noop,
-                    seq: doc.seq,
-                    checked_pairs: checked_total,
-                });
-            }
-
-            if base == winner {
-                // Fast path: uncontended edit at the head.
-                return self.apply_at(
-                    &mut inner,
-                    doc_id,
-                    base,
-                    &payload,
-                    &payload_str,
-                    PutResult::Applied,
-                    checked_total,
-                );
-            }
-
-            // Stale base. Try the merge rung when the payload is an
-            // operation, the base is live, and every intervening
-            // revision carries a replayable operation.
-            let merge_plan = match (&payload, check.as_deref_mut()) {
-                (PutPayload::Op(op), Some(_)) => Self::plan_merge(&doc.revs, &base, &winner, op),
-                _ => None,
-            };
-            let Some((intervening, winner_tree)) = merge_plan else {
-                return self.branch_at(&mut inner, doc_id, base, &payload, &payload_str, {
-                    checked_total
-                });
-            };
-
-            // Consult the detectors with the store unlocked: a budgeted
-            // NP-side search must not block unrelated documents.
-            drop(inner);
-            let my_op = match &payload {
-                PutPayload::Op(u) => Op::Update(u.clone()),
-                _ => unreachable!("merge rung only plans for operation payloads"),
-            };
-            let check = check.as_deref_mut().expect("merge rung requires a checker");
-            let round_start = checked_total;
-            let mut provably_commutes = true;
-            for iv in &intervening {
-                let d = check(&Op::Update(iv.clone()), &my_op);
-                checked_total += 1;
-                if d.verdict.conflict || d.verdict.detector.is_conservative() {
-                    provably_commutes = false;
-                    break;
-                }
-            }
-            // Only this round's pairs: `checked_total` carries over
-            // across winner-moved retries, and re-adding it would
-            // double-count the earlier rounds.
-            cxu_obs::counter!("store.merge.checked_pairs")
-                .add((checked_total - round_start) as u64);
-
-            let mut inner = self.lock();
-            let doc = inner
-                .docs
-                .get(doc_id)
-                .ok_or_else(|| StoreError::NotFound(doc_id.to_owned()))?;
-            if doc.revs.winner() != Some(winner) {
-                // The head moved while we were checking: the proof no
-                // longer covers the full chain. Retry a few times, then
-                // settle for the (always sound) branch.
-                if attempts < self.cfg.merge_retries {
-                    attempts += 1;
-                    cxu_obs::counter!("store.put.retries").inc();
-                    drop(inner);
-                    continue;
-                }
-                return self.branch_at(&mut inner, doc_id, base, &payload, &payload_str, {
-                    checked_total
-                });
-            }
-            if !provably_commutes {
-                return self.branch_at(&mut inner, doc_id, base, &payload, &payload_str, {
-                    checked_total
-                });
-            }
-
-            // Every pair commutes exactly: replay on the winner.
-            let op = match payload {
-                PutPayload::Op(u) => u,
-                _ => unreachable!(),
-            };
-            let (merged_tree, _) = op.apply_to_copy(&winner_tree);
-            let rev = RevId::derive(Some(&winner), &payload_str, false);
-            if inner
-                .docs
-                .get(doc_id)
-                .is_some_and(|d| d.revs.contains(&rev))
-            {
-                // The same merge raced in from another client.
-                let doc = inner.docs.get(doc_id).expect("checked above");
-                let w = doc.revs.winner().expect("nonempty");
-                return Ok(PutOutcome {
+                let node = RevNode {
+                    parent: tip,
+                    deleted,
+                    content,
+                    op: match pl {
+                        PutPayload::Op(u) => Some(u.clone()),
+                        _ => None,
+                    },
+                    seq: base_seq + i as u64 + 1,
+                };
+                last[k] = Some(staged.len());
+                staged.push(Staged {
+                    doc: d,
                     rev,
-                    winner: w,
-                    winner_deleted: doc.revs.get(&w).expect("winner exists").deleted,
-                    result: PutResult::Noop,
-                    seq: doc.seq,
-                    checked_pairs: checked_total,
+                    node,
+                    rung: plans[k].rung,
+                    alias: (anchors[i] != rev).then_some(anchors[i]),
                 });
             }
-            let seq = inner.commit(
-                doc_id,
-                rev,
-                Commit {
-                    parent: Some(winner),
-                    deleted: false,
-                    content: Some(merged_tree),
-                    op: Some(op),
-                },
-                PutResult::Merged,
-                Some(replay),
-            )?;
-            let doc = inner.docs.get(doc_id).expect("just committed");
-            let w = doc.revs.winner().expect("nonempty");
-            return Ok(PutOutcome {
-                rev,
-                winner: w,
-                winner_deleted: doc.revs.get(&w).expect("winner exists").deleted,
-                result: PutResult::Merged,
-                seq,
-                checked_pairs: checked_total,
-            });
+            let revs = staged.iter().map(|s| (s.doc.to_owned(), s.rev)).collect();
+            inner.publish(policy, staged).map_err(reject)?;
+            return Ok(inner.answer(revs, plans[0].rung));
         }
-    }
-
-    /// Collects the merge rung's inputs: the operations on the chain
-    /// from `base` to `winner` plus the winner's content. `None` when
-    /// the chain is unusable — base deleted, winner deleted, base not
-    /// an ancestor of the winner (sibling branches cannot linearize),
-    /// or an intervening revision without a replayable op.
-    fn plan_merge(
-        revs: &RevTree,
-        base: &RevId,
-        winner: &RevId,
-        _op: &Update,
-    ) -> Option<(Vec<Update>, Tree)> {
-        let winner_node = revs.get(winner)?;
-        if winner_node.deleted {
-            return None;
-        }
-        let intervening = Self::plan_chain(revs, base, winner)?;
-        Some((intervening, winner_node.content.clone()?))
     }
 
     /// The operations on the chain from `base` (exclusive) to `winner`
     /// (inclusive), oldest first — what a stale base must commute with.
     /// `None` when the chain cannot linearize: base deleted, base not
-    /// an ancestor of the winner (sibling branches), or an intervening
-    /// revision without a replayable op.
+    /// an ancestor of the winner (sibling branches), or a revision on
+    /// the way without a replayable op (a creation or a tombstone).
     fn plan_chain(revs: &RevTree, base: &RevId, winner: &RevId) -> Option<Vec<Update>> {
         let base_node = revs.get(base)?;
         if base_node.deleted {
@@ -1313,197 +1259,6 @@ impl Store {
             ops.push(revs.get(r)?.op.clone()?);
         }
         Some(ops)
-    }
-
-    fn create(
-        &self,
-        doc_id: &str,
-        payload: PutPayload,
-        payload_str: &str,
-    ) -> Result<PutOutcome, StoreError> {
-        let PutPayload::Content(content) = payload else {
-            return Err(StoreError::Conflict(
-                "a put without base_rev must carry full content".to_owned(),
-            ));
-        };
-        let mut inner = self.lock();
-        let parent = match inner.docs.get(doc_id) {
-            Some(doc) => {
-                let winner = doc.revs.winner().expect("known documents are nonempty");
-                let node = doc.revs.get(&winner).expect("winner exists");
-                if !node.deleted {
-                    return Err(StoreError::Conflict(format!(
-                        "document {doc_id:?} exists at {winner}; supply base_rev"
-                    )));
-                }
-                // Resurrection: the new first revision extends the
-                // tombstone so history stays one tree.
-                Some(winner)
-            }
-            None => {
-                if inner.docs.len() >= self.cfg.max_docs {
-                    return Err(StoreError::TooManyDocs);
-                }
-                inner.docs.insert(
-                    doc_id.to_owned(),
-                    DocState {
-                        revs: RevTree::new(),
-                        seq: 0,
-                        merge_aliases: HashMap::new(),
-                    },
-                );
-                None
-            }
-        };
-        let rev = RevId::derive(parent.as_ref(), payload_str, false);
-        if inner
-            .docs
-            .get(doc_id)
-            .is_some_and(|d| d.revs.contains(&rev))
-        {
-            let doc = inner.docs.get(doc_id).expect("checked above");
-            let w = doc.revs.winner().expect("nonempty");
-            return Ok(PutOutcome {
-                rev,
-                winner: w,
-                winner_deleted: doc.revs.get(&w).expect("winner exists").deleted,
-                result: PutResult::Noop,
-                seq: doc.seq,
-                checked_pairs: 0,
-            });
-        }
-        let fresh = parent.is_none();
-        let seq = match inner.commit(
-            doc_id,
-            rev,
-            Commit {
-                parent,
-                deleted: false,
-                content: Some(content),
-                op: None,
-            },
-            PutResult::Created,
-            None,
-        ) {
-            Ok(seq) => seq,
-            Err(e) => {
-                // A failed create must not leave an empty document
-                // behind: every other path assumes known documents
-                // have a winner.
-                if fresh {
-                    inner.docs.remove(doc_id);
-                }
-                return Err(e);
-            }
-        };
-        let doc = inner.docs.get(doc_id).expect("just committed");
-        let w = doc.revs.winner().expect("nonempty");
-        Ok(PutOutcome {
-            rev,
-            winner: w,
-            winner_deleted: false,
-            result: PutResult::Created,
-            seq,
-            checked_pairs: 0,
-        })
-    }
-
-    /// Commits `payload` as a child of `at` (the fast path when `at` is
-    /// the winner). The caller has verified `at` exists.
-    #[allow(clippy::too_many_arguments)]
-    fn apply_at(
-        &self,
-        inner: &mut Inner,
-        doc_id: &str,
-        at: RevId,
-        payload: &PutPayload,
-        payload_str: &str,
-        result: PutResult,
-        checked_pairs: usize,
-    ) -> Result<PutOutcome, StoreError> {
-        let doc = inner.docs.get(doc_id).expect("caller verified");
-        let at_node = doc.revs.get(&at).expect("caller verified").clone();
-        let (content, op, deleted) = match payload {
-            PutPayload::Content(t) => (Some(t.clone()), None, false),
-            PutPayload::Op(u) => {
-                let Some(base_tree) = at_node.content.as_ref() else {
-                    return Err(StoreError::Conflict(format!(
-                        "revision {at} of {doc_id:?} is deleted; operations need a live base"
-                    )));
-                };
-                let (t, _) = u.apply_to_copy(base_tree);
-                (Some(t), Some(u.clone()), false)
-            }
-            PutPayload::Tombstone => {
-                if at_node.deleted {
-                    return Err(StoreError::Conflict(format!(
-                        "revision {at} of {doc_id:?} is already deleted"
-                    )));
-                }
-                (None, None, true)
-            }
-        };
-        let rev = RevId::derive(Some(&at), payload_str, deleted);
-        if doc.revs.contains(&rev) {
-            // An identical put committed while the merge rung had the
-            // store unlocked (the fast path holds the lock from its
-            // replay check to its commit, so only the post-detector
-            // branch fallbacks can race here). Same (base, payload) ⇒
-            // same rev: a replay, not a new commit.
-            let w = doc.revs.winner().expect("nonempty");
-            return Ok(PutOutcome {
-                rev,
-                winner: w,
-                winner_deleted: doc.revs.get(&w).expect("winner exists").deleted,
-                result: PutResult::Noop,
-                seq: doc.seq,
-                checked_pairs,
-            });
-        }
-        let seq = inner.commit(
-            doc_id,
-            rev,
-            Commit {
-                parent: Some(at),
-                deleted,
-                content,
-                op,
-            },
-            result,
-            None,
-        )?;
-        let doc = inner.docs.get(doc_id).expect("just committed");
-        let w = doc.revs.winner().expect("nonempty");
-        Ok(PutOutcome {
-            rev,
-            winner: w,
-            winner_deleted: doc.revs.get(&w).expect("winner exists").deleted,
-            result,
-            seq,
-            checked_pairs,
-        })
-    }
-
-    /// The branch rung: same commit as [`Store::apply_at`] but at a
-    /// stale base, reported as [`PutResult::Branched`].
-    fn branch_at(
-        &self,
-        inner: &mut Inner,
-        doc_id: &str,
-        base: RevId,
-        payload: &PutPayload,
-        payload_str: &str,
-        checked_pairs: usize,
-    ) -> Result<PutOutcome, StoreError> {
-        self.apply_at(
-            inner,
-            doc_id,
-            base,
-            payload,
-            payload_str,
-            PutResult::Branched,
-            checked_pairs,
-        )
     }
 
     /// Reads a document: the winner, or a named revision.
@@ -1925,10 +1680,7 @@ mod tests {
 
     #[test]
     fn rejections_name_their_reason() {
-        let store = Store::new(StoreConfig {
-            max_docs: 1,
-            ..StoreConfig::default()
-        });
+        let store = Store::new(StoreConfig { max_docs: 1 });
         with_sched(|check| {
             let c = store.put("d", None, content("a(b)"), check).unwrap();
             let e = store.put("d", None, content("a(c)"), check).unwrap_err();

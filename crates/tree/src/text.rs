@@ -10,6 +10,12 @@
 use crate::{NodeId, Tree};
 use std::fmt;
 
+/// Deepest tree [`parse`] accepts, in edges below the root. Far beyond
+/// any real document in term syntax, and shallow enough that the
+/// recursive passes over a tree (this parser, rendering, the update
+/// operations) cannot overflow a worker's stack on hostile input.
+pub const MAX_DEPTH: usize = 1024;
+
 /// Parse error for the term syntax.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseTreeError {
@@ -30,6 +36,7 @@ impl std::error::Error for ParseTreeError {}
 struct Parser<'a> {
     src: &'a str,
     pos: usize,
+    max_depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -68,24 +75,29 @@ impl<'a> Parser<'a> {
         Ok(&self.src[start..self.pos])
     }
 
-    /// node := label ( '(' node* ')' )?
-    fn node(&mut self, tree: &mut Tree, parent: Option<NodeId>) -> Result<NodeId, ParseTreeError> {
+    /// node := label ( '(' node* ')' )?, at `depth` below the root.
+    fn node(
+        &mut self,
+        tree: &mut Tree,
+        parent: NodeId,
+        depth: usize,
+    ) -> Result<(), ParseTreeError> {
         let label = self.label()?;
-        let id = match parent {
-            Some(p) => tree.build_child(p, label),
-            None => {
-                // Root label was supplied to Tree::new by the caller; this
-                // branch is only used through `parse`, which handles it.
-                unreachable!("root handled by parse()")
-            }
-        };
-        self.children(tree, id)?;
-        Ok(id)
+        let id = tree.build_child(parent, label);
+        self.children(tree, id, depth)
     }
 
-    fn children(&mut self, tree: &mut Tree, parent: NodeId) -> Result<(), ParseTreeError> {
+    fn children(
+        &mut self,
+        tree: &mut Tree,
+        parent: NodeId,
+        depth: usize,
+    ) -> Result<(), ParseTreeError> {
         self.skip_ws();
         if self.peek() == Some('(') {
+            if depth == self.max_depth {
+                return self.err(format!("tree nests deeper than {} levels", self.max_depth));
+            }
             self.bump();
             loop {
                 self.skip_ws();
@@ -94,9 +106,7 @@ impl<'a> Parser<'a> {
                         self.bump();
                         break;
                     }
-                    Some(_) => {
-                        self.node(tree, Some(parent))?;
-                    }
+                    Some(_) => self.node(tree, parent, depth + 1)?,
                     None => return self.err("unclosed '('"),
                 }
             }
@@ -105,15 +115,32 @@ impl<'a> Parser<'a> {
     }
 }
 
-/// Parses the term syntax into a [`Tree`]. The modification journal of the
-/// returned tree is empty.
+/// Parses the term syntax into a [`Tree`], refusing trees deeper than
+/// [`MAX_DEPTH`] — the entry point for untrusted input. The modification
+/// journal of the returned tree is empty.
 pub fn parse(src: &str) -> Result<Tree, ParseTreeError> {
-    let mut p = Parser { src, pos: 0 };
+    parse_to_depth(src, MAX_DEPTH)
+}
+
+/// [`parse`] without the depth bound, for text this program rendered
+/// itself (the store's log and snapshots): updates can grow a stored
+/// tree past [`MAX_DEPTH`], and an acknowledged write must still
+/// recover.
+pub fn parse_stored(src: &str) -> Result<Tree, ParseTreeError> {
+    parse_to_depth(src, usize::MAX)
+}
+
+fn parse_to_depth(src: &str, max_depth: usize) -> Result<Tree, ParseTreeError> {
+    let mut p = Parser {
+        src,
+        pos: 0,
+        max_depth,
+    };
     p.skip_ws();
     let root_label = p.label()?;
     let mut tree = Tree::new(root_label);
     let root = tree.root();
-    p.children(&mut tree, root)?;
+    p.children(&mut tree, root, 0)?;
     p.skip_ws();
     if p.pos != src.len() {
         return p.err("trailing input after tree");
@@ -235,5 +262,22 @@ mod tests {
         let t = parse(&s).unwrap();
         assert_eq!(t.live_count(), 201);
         assert_eq!(t.height(), 200);
+    }
+
+    #[test]
+    fn depth_is_bounded() {
+        let chain = |n: usize| "a(".repeat(n) + "b" + &")".repeat(n);
+        assert_eq!(parse(&chain(MAX_DEPTH)).unwrap().height(), MAX_DEPTH);
+        for n in [MAX_DEPTH + 1, 100_000] {
+            let e = parse(&chain(n)).unwrap_err();
+            assert!(e.msg.contains("deeper than"), "{e}");
+        }
+        // Width is not depth.
+        assert!(parse(&format!("a({})", "b ".repeat(20_000))).is_ok());
+        // Stored text is trusted: it parses past the bound.
+        assert_eq!(
+            parse_stored(&chain(MAX_DEPTH + 1)).unwrap().height(),
+            MAX_DEPTH + 1
+        );
     }
 }

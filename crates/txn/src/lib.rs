@@ -1,6 +1,5 @@
 //! Transaction programs: ordered multi-op updates with snapshot-read
-//! guards, and conflict analysis lifted from op pairs to whole
-//! transactions.
+//! guards.
 //!
 //! The paper's pairwise detectors decide whether two *operations*
 //! conflict; the unit of work real clients submit is a *sequence* of
@@ -13,24 +12,17 @@
 //!   [guards](cxu_store::TxnGuard) asserting the base revision each
 //!   document was observed at. Wire form via [`Txn::from_wire`] /
 //!   [`Txn::to_wire`] (the [`cxu_gen::wire::TxnWire`] schema).
-//! - [`Txn::conflicts_with`] — transaction-pair conflict, reduced to
-//!   the routed pairwise detectors through
-//!   [`Scheduler::analyze_txn_pair`]: two transactions conflict iff
-//!   *any* same-document cross pair conflicts, with conservative
-//!   verdicts counting as conflicts (an unproved commutation must not
-//!   admit an interleaving). Intra-transaction order is preserved by
-//!   construction — a program is never checked against itself.
 //! - [`Txn::apply`] — atomic commit through
 //!   [`Store::apply_txn`](cxu_store::Store::apply_txn): all revisions
-//!   mint in a single WAL frame, or nothing changes.
+//!   mint in a single WAL frame, or nothing changes. Conflict analysis
+//!   happens there, against what committed since the guards — the
+//!   store's one write path, which puts share.
 //! - [`serial`] — the observational serial-equivalence oracle the
 //!   validation harness replays ≥1000 seeded transaction mixes
 //!   against: an admitted interleaving is correct iff its final state
 //!   equals *some* serial order of the committed transactions.
 
 use cxu_gen::wire::TxnWire;
-use cxu_runtime::Deadline;
-use cxu_sched::{Op, Scheduler, TxnPairReport};
 use cxu_store::{PairCheck, RevId, Store, TxnError, TxnGuard, TxnOutcome, TxnWrite};
 use std::fmt;
 use std::str::FromStr;
@@ -141,28 +133,6 @@ impl Txn {
         out
     }
 
-    /// The program as `(doc, op)` pairs — the shape
-    /// [`Scheduler::analyze_txn_pair`] consumes.
-    pub fn sched_ops(&self) -> Vec<(String, Op)> {
-        self.writes
-            .iter()
-            .map(|w| (w.doc.clone(), Op::Update(w.op.clone())))
-            .collect()
-    }
-
-    /// Whether this transaction conflicts with `other`: any
-    /// same-document cross pair conflicts, or could not be proved not
-    /// to. Verdicts flow through the scheduler's interner, memo cache,
-    /// and prefilter, so repeated shapes stay warm.
-    pub fn conflicts_with(
-        &self,
-        other: &Txn,
-        sched: &mut Scheduler,
-        deadline: &Deadline,
-    ) -> TxnPairReport {
-        sched.analyze_txn_pair(&self.sched_ops(), &other.sched_ops(), deadline)
-    }
-
     /// Commits the program atomically against `store`. Pure
     /// delegation; see [`Store::apply_txn`](cxu_store::Store::apply_txn)
     /// for the admission and durability contract.
@@ -177,7 +147,7 @@ mod tests {
     use cxu_gen::wire;
     use cxu_ops::{Insert, Update};
     use cxu_pattern::xpath;
-    use cxu_sched::{Deadline, SchedConfig};
+    use cxu_sched::{Deadline, Op, SchedConfig, Scheduler};
     use cxu_store::{PutPayload, StoreConfig};
     use cxu_tree::text;
 
@@ -214,32 +184,6 @@ mod tests {
             ops: vec![],
         };
         assert!(Txn::from_wire(&w).is_err());
-    }
-
-    #[test]
-    fn commuting_txns_interleave_and_conflicting_ones_do_not() {
-        let mut sched = Scheduler::new(SchedConfig {
-            jobs: 1,
-            ..SchedConfig::default()
-        });
-        let deadline = Deadline::never();
-        let a = Txn::new().write("d", ins("a/b", "x"));
-        let b = Txn::new().write("d", ins("a/c", "y"));
-        assert!(!a.conflicts_with(&b, &mut sched, &deadline).conflict);
-
-        let c = Txn::new().write("d", ins("a/b/x", "deep"));
-        // Deleting a/b conflicts with editing under it.
-        let d = Txn::new().write(
-            "d",
-            Update::Delete(cxu_ops::Delete::new(xpath::parse("a/b").unwrap()).unwrap()),
-        );
-        assert!(c.conflicts_with(&d, &mut sched, &deadline).conflict);
-
-        // Different documents never conflict.
-        let e = Txn::new().write("other", ins("a/b", "x"));
-        let r = d.conflicts_with(&e, &mut sched, &deadline);
-        assert!(!r.conflict);
-        assert_eq!(r.checked, 0);
     }
 
     #[test]

@@ -903,14 +903,16 @@ fn txn_counters_partition_the_commits() {
         "no competing writer, no OCC retry rounds"
     );
 
-    // Pair accounting: the applied outcomes report their own detector
-    // work; the conflicted attempt checked at least one pair and found
-    // at least one conflict on top of that.
-    assert!(
-        d.counter("txn.pair.checked") >= applied_pairs,
-        "outcome checked_pairs bound the pair counter\n{d}"
+    // Pair accounting: the store's commit engine is the one counting
+    // site. The applied outcomes report their own detector work, and
+    // the conflicted attempt checked exactly one pair — its single
+    // write against the one intervening delete — and was refuted by it.
+    assert_eq!(
+        d.counter("txn.pair.checked"),
+        applied_pairs + 1,
+        "outcome checked_pairs plus the refuted pair\n{d}"
     );
-    assert!(d.counter("txn.pair.conflicts") >= 1, "{d}");
+    assert_eq!(d.counter("txn.pair.conflicts"), 1, "{d}");
 
     // One latency sample per commit attempt, answered or refused.
     let h = d.histogram("store.txn_ns").expect("txn histogram");

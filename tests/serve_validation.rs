@@ -367,6 +367,52 @@ fn oversized_request_line_is_rejected_at_the_socket() {
     assert!(summary.failed >= 1, "the oversized line counts as failed");
 }
 
+/// Hostile nesting is a parse error, not a crash: patterns and term
+/// trees deeper than their parsers' bounds are answered `bad-request`
+/// instead of overflowing a thread's stack, which aborts the process
+/// and every connection with it, and the server keeps serving.
+#[test]
+fn deeply_nested_inputs_are_rejected_not_fatal() {
+    let _g = lock();
+    let (addr, _handle, join) = start(ServeConfig {
+        workers: 1,
+        ..ServeConfig::default()
+    });
+    let read = |pattern: &str| {
+        format!(
+            r#"{{"route": "check", "a": {{"kind": "read", "pattern": "{pattern}"}}, "b": {{"kind": "delete", "pattern": "x/y"}}}}"#
+        )
+    };
+    let hostile = [
+        // A 100k-step linear read path.
+        read(&("a/".repeat(100_000) + "b")),
+        // A 10k-deep nested predicate.
+        read(&("a[".repeat(10_000) + "b" + &"]".repeat(10_000))),
+        // A 100k-deep insert subtree in term syntax.
+        format!(
+            r#"{{"route": "check", "a": {{"kind": "read", "pattern": "x/y"}}, "b": {{"kind": "insert", "pattern": "q/r", "subtree": "{}"}}}}"#,
+            "a(".repeat(100_000) + "b" + &")".repeat(100_000)
+        ),
+    ];
+    let mut c = Client::connect(addr);
+    for line in &hostile {
+        let v = c.roundtrip(line);
+        assert_eq!(v.get("ok").and_then(Json::as_bool), Some(false), "{v:?}");
+        assert_eq!(v.get("error").and_then(Json::as_str), Some("bad-request"));
+        let detail = v.get("detail").and_then(Json::as_str).unwrap_or("");
+        assert!(detail.contains("deeper than"), "{detail}");
+    }
+    let v = c.roundtrip(r#"{"route": "health"}"#);
+    assert_eq!(v.get("ok").and_then(Json::as_bool), Some(true), "{v:?}");
+
+    let v = c.roundtrip(r#"{"route": "shutdown"}"#);
+    assert_eq!(v.get("status").and_then(Json::as_str), Some("draining"));
+    drop(c);
+    let summary = join.join().unwrap();
+    assert_identity(&summary);
+    assert_eq!(summary.failed, 3, "each hostile line counts as failed");
+}
+
 /// (f) A slow-loris connection — bytes trickling in with no newline —
 /// is answered `timeout` and closed once the partial line has stalled
 /// past the read timeout. An *idle* connection (no partial line) stays
