@@ -313,7 +313,8 @@ fn cmd_check(args: &Args) -> Result<String, String> {
         Ok(out)
     } else {
         // NP path: bounded exhaustive search.
-        let out = brute::find_witness(&read, &update, sem, brute::Budget::default());
+        let budget = brute::Budget::default();
+        let out = brute::find_witness(&read, &update, sem, budget);
         Ok(match out {
             brute::SearchOutcome::Conflict(w) => format!(
                 "CONFLICT — witness: {} ({:?} semantics, exhaustive search)",
@@ -324,9 +325,10 @@ fn cmd_check(args: &Args) -> Result<String, String> {
                 "no conflict witnessed by trees of <= {n} nodes \
                  (branching read: problem is NP-complete, §5)"
             ),
-            brute::SearchOutcome::BudgetExceeded(n) => {
-                format!("undecided: {n} candidate trees exceed the search budget")
-            }
+            brute::SearchOutcome::BudgetExceeded(_) => format!(
+                "undecided: more than {} candidate trees, over the search budget",
+                budget.max_trees
+            ),
             brute::SearchOutcome::DeadlineExceeded => {
                 "undecided: the search deadline expired".into()
             }
@@ -647,16 +649,31 @@ fn cmd_schedule(args: &Args) -> Result<String, String> {
     Ok(result)
 }
 
-/// Set by the C signal handler; polled by the watcher thread. A handler
-/// may only do async-signal-safe work, and a relaxed store is exactly
-/// that.
-static SIGNAL_SEEN: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(false);
+/// The write end of the signal self-pipe, as a raw fd for the handler
+/// (−1 until [`SignalWatcher::spawn`] installs it). The handler's only
+/// work is one `write(2)`, which is async-signal-safe, and a successful
+/// write leaves `errno` untouched.
+static SIGNAL_FD: std::sync::atomic::AtomicI32 = std::sync::atomic::AtomicI32::new(-1);
+
+/// The byte the handler writes; [`SignalWatcher::finish`] writes any
+/// other.
+const SIGNAL_BYTE: u8 = b'S';
 
 extern "C" fn note_signal(_signum: i32) {
-    SIGNAL_SEEN.store(true, std::sync::atomic::Ordering::Relaxed);
+    extern "C" {
+        fn write(fd: i32, buf: *const u8, count: usize) -> isize;
+    }
+    let fd = SIGNAL_FD.load(std::sync::atomic::Ordering::Relaxed);
+    if fd >= 0 {
+        // SAFETY: one byte from a static, to an fd that stays open for
+        // the life of the process.
+        unsafe {
+            write(fd, &SIGNAL_BYTE, 1);
+        }
+    }
 }
 
-/// Routes SIGINT (2) and SIGTERM (15) into [`SIGNAL_SEEN`] via libc's
+/// Routes SIGINT (2) and SIGTERM (15) into the self-pipe via libc's
 /// `signal`, declared directly so the binary stays dependency-free.
 fn install_signal_hooks() {
     extern "C" {
@@ -669,34 +686,47 @@ fn install_signal_hooks() {
 }
 
 /// A thread that turns the first SIGINT/SIGTERM into a graceful
-/// [`cxu::serve::ServerHandle::shutdown`]. `finish` reaps it once the
-/// server has drained on its own (e.g. via the `shutdown` route).
+/// [`cxu::serve::ServerHandle::shutdown`]. It blocks reading the signal
+/// self-pipe, so an idle server has no timer to wake for. `finish` reaps
+/// it once the server has drained on its own (e.g. via the `shutdown`
+/// route).
 struct SignalWatcher {
-    done: std::sync::Arc<std::sync::atomic::AtomicBool>,
+    pipe: std::os::unix::net::UnixStream,
     thread: std::thread::JoinHandle<()>,
 }
 
 impl SignalWatcher {
-    fn spawn(server: cxu::serve::ServerHandle) -> SignalWatcher {
-        use std::sync::atomic::{AtomicBool, Ordering};
+    fn spawn(server: cxu::serve::ServerHandle) -> std::io::Result<SignalWatcher> {
+        use std::io::Read as _;
+        use std::os::unix::io::IntoRawFd as _;
+        let (rx, tx) = std::os::unix::net::UnixStream::pair()?;
+        // Nonblocking, so a burst of signals can never block the handler.
+        tx.set_nonblocking(true)?;
+        let pipe = tx.try_clone()?;
+        // Both ends stay open for the life of the process: the handler
+        // may run at any moment, and a write to a closed pipe would fail.
+        SIGNAL_FD.store(tx.into_raw_fd(), std::sync::atomic::Ordering::Relaxed);
+        let rx: &'static std::os::unix::net::UnixStream = Box::leak(Box::new(rx));
         install_signal_hooks();
-        let done = std::sync::Arc::new(AtomicBool::new(false));
-        let done_flag = std::sync::Arc::clone(&done);
-        let thread = std::thread::spawn(move || loop {
-            if SIGNAL_SEEN.load(Ordering::Relaxed) {
-                server.shutdown();
-                return;
+        let thread = std::thread::spawn(move || {
+            let mut byte = [0u8];
+            loop {
+                match (&*rx).read(&mut byte) {
+                    Ok(1) if byte[0] == SIGNAL_BYTE => {
+                        server.shutdown();
+                        return;
+                    }
+                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                    _ => return,
+                }
             }
-            if done_flag.load(Ordering::Acquire) {
-                return;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(25));
         });
-        SignalWatcher { done, thread }
+        Ok(SignalWatcher { pipe, thread })
     }
 
     fn finish(self) {
-        self.done.store(true, std::sync::atomic::Ordering::Release);
+        use std::io::Write as _;
+        let _ = (&self.pipe).write(&[0]);
         let _ = self.thread.join();
     }
 }
@@ -793,7 +823,8 @@ fn cmd_serve(args: &Args) -> Result<String, String> {
     use std::io::Write as _;
     let _ = std::io::stdout().flush();
 
-    let watcher = SignalWatcher::spawn(server.handle());
+    let watcher = SignalWatcher::spawn(server.handle())
+        .map_err(|e| format!("cannot install the signal watcher: {e}"))?;
     let summary = server.run().map_err(|e| format!("server error: {e}"))?;
     watcher.finish();
     Ok(format!(

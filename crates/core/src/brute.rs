@@ -17,7 +17,7 @@
 use cxu_ops::witness::witnesses_update_conflict;
 use cxu_ops::{Read, Semantics, Update};
 use cxu_runtime::{failpoints, Deadline};
-use cxu_tree::enumerate::{count_trees, enumerate_trees};
+use cxu_tree::enumerate::{count_trees_capped, enumerate_trees};
 use cxu_tree::{Symbol, Tree};
 
 /// Bounds for the exhaustive search.
@@ -48,6 +48,8 @@ pub enum SearchOutcome {
     /// [`lemma11_bound`].
     NoConflictWithin(usize),
     /// The candidate count exceeded `max_trees`; nothing was decided.
+    /// The count stops once it passes the budget, so the payload is
+    /// only "more than `max_trees`", not the exact count.
     BudgetExceeded(u128),
     /// The deadline expired (or the cancel token fired) mid-search;
     /// nothing was decided.
@@ -144,7 +146,7 @@ fn find_witness_deadline_inner(
     deadline: &Deadline,
 ) -> SearchOutcome {
     let alpha = witness_alphabet(r, u);
-    let candidates = count_trees(alpha.len(), budget.max_nodes);
+    let candidates = count_trees_capped(alpha.len(), budget.max_nodes, budget.max_trees);
     if candidates > budget.max_trees || failpoints::fire("brute::search") {
         return SearchOutcome::BudgetExceeded(candidates);
     }
@@ -201,7 +203,7 @@ pub fn find_witness_parallel(
 
     let threads = threads.max(1);
     let alpha = witness_alphabet(r, u);
-    let candidates = count_trees(alpha.len(), budget.max_nodes);
+    let candidates = count_trees_capped(alpha.len(), budget.max_nodes, budget.max_trees);
     if candidates > budget.max_trees {
         return SearchOutcome::BudgetExceeded(candidates);
     }

@@ -14,7 +14,7 @@
 
 use cxu_ops::Update;
 use cxu_runtime::{failpoints, Deadline};
-use cxu_tree::enumerate::{count_trees, enumerate_trees};
+use cxu_tree::enumerate::{count_trees_capped, enumerate_trees};
 use cxu_tree::{iso, Symbol, Tree};
 
 /// Do `u1` and `u2` commute on `t` up to isomorphism —
@@ -54,7 +54,8 @@ pub enum Outcome {
     Conflict(Tree),
     /// No witness within the size bound.
     NoConflictWithin(usize),
-    /// Candidate count exceeded the budget.
+    /// Candidate count exceeded the budget. The count stops once it
+    /// passes the budget, so the payload is only a value above it.
     BudgetExceeded(u128),
     /// The deadline expired (or the cancel token fired) mid-search.
     DeadlineExceeded,
@@ -123,7 +124,7 @@ fn find_noncommuting_witness_inner(
     deadline: &Deadline,
 ) -> Outcome {
     let alpha = alphabet(u1, u2);
-    let n = count_trees(alpha.len(), budget.max_nodes);
+    let n = count_trees_capped(alpha.len(), budget.max_nodes, budget.max_trees);
     if n > budget.max_trees || failpoints::fire("uu::search") {
         return Outcome::BudgetExceeded(n);
     }

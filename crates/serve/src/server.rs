@@ -4,12 +4,20 @@
 //! Thread layout: one acceptor (the caller of [`Server::run`]), a small
 //! set of IO event-loop threads, and one worker thread per shard.
 //! Accepted connections are handed round-robin to the IO loops, which
-//! run **nonblocking** reads (`std::net` + `set_nonblocking`, no
-//! dependencies): each loop pass drains readable bytes, parses complete
-//! NDJSON lines, and flushes buffered responses. A connection may have
+//! run **nonblocking** sockets (`std::net` + `set_nonblocking`, no
+//! dependencies): a loop pass flushes buffered responses, reads what
+//! has arrived, and parses complete NDJSON lines. A connection may have
 //! many requests in flight (`pipeline_depth`); responses are delivered
 //! strictly in request order because only the owning IO loop writes the
 //! socket, popping per-request response cells FIFO.
+//!
+//! Readiness: no thread waits on a timer. A loop pass that moved
+//! nothing blocks in `poll(2)` over its connections — read interest
+//! exactly when the pass would read, write interest only with bytes to
+//! flush — plus a wake pipe that a worker writes when it fills one of
+//! the loop's response cells. The acceptor polls the listener plus its
+//! own wake pipe, and idle shard workers park on a condition that every
+//! push signals ([`crate::shard`]).
 //!
 //! Sharding: every work request is routed to a *home* shard by a
 //! deterministic hash of its operations' canonical shapes (see
@@ -60,6 +68,8 @@ use cxu_txn::Txn;
 use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::os::unix::io::{AsRawFd, RawFd};
+use std::os::unix::net::UnixStream;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -168,6 +178,10 @@ struct Shared {
     cfg: ServeConfig,
     start: Instant,
     shutdown: AtomicBool,
+    /// Wakes the acceptor out of `poll` when shutdown begins.
+    wake: WakePipe,
+    /// One injector per IO loop.
+    loops: Vec<Injector>,
     shards: ShardSet,
     /// The document store behind the `doc_*` routes (internally
     /// synchronized; shared by all shards).
@@ -188,12 +202,18 @@ impl Shared {
         self.shutdown.load(Ordering::Acquire)
     }
 
+    /// Sets the flag, then wakes the acceptor and every IO loop so each
+    /// sees it without waiting for traffic.
     fn begin_shutdown(&self) {
         self.shutdown.store(true, Ordering::Release);
+        self.wake.wake();
+        for inj in &self.loops {
+            inj.wake.wake();
+        }
     }
 }
 
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
@@ -239,7 +259,12 @@ impl Server {
             None => Ok(Store::new(cfg.store)),
         })?;
         let shards = ShardSet::new(cfg.workers, cfg.queue_depth, cfg.sched, registry);
+        let loops = (0..io_thread_count(shards.len()))
+            .map(|_| Injector::new())
+            .collect::<std::io::Result<Vec<_>>>()?;
         let shared = Arc::new(Shared {
+            wake: WakePipe::new()?,
+            loops,
             shards,
             store,
             registry,
@@ -292,27 +317,118 @@ fn io_thread_count(shards: usize) -> usize {
         .clamp(1, 4)
 }
 
-/// Hands accepted connections from the acceptor to one IO loop.
+/// `struct pollfd` from `<poll.h>`.
+#[repr(C)]
+struct PollFd {
+    fd: RawFd,
+    events: i16,
+    revents: i16,
+}
+
+const POLLIN: i16 = 0x1;
+const POLLOUT: i16 = 0x4;
+
+/// `nfds_t`: `unsigned long` on Linux, `unsigned int` on the BSDs and
+/// macOS.
+#[cfg(target_os = "linux")]
+type NfdsT = std::ffi::c_ulong;
+#[cfg(not(target_os = "linux"))]
+type NfdsT = std::ffi::c_uint;
+
+impl PollFd {
+    fn new(fd: RawFd, events: i16) -> PollFd {
+        PollFd {
+            fd,
+            events,
+            revents: 0,
+        }
+    }
+}
+
+/// Blocks until one of `fds` is ready or `timeout` passes (`None`
+/// waits indefinitely), filling each `revents`. An interrupted call
+/// just returns: every caller re-runs its pass and polls again.
+/// `poll` is declared directly (as the CLI declares `signal`), so the
+/// crate stays dependency-free.
+fn poll_fds(fds: &mut [PollFd], timeout: Option<Duration>) {
+    extern "C" {
+        fn poll(fds: *mut PollFd, nfds: NfdsT, timeout: i32) -> i32;
+    }
+    let ms = match timeout {
+        None => -1,
+        // Rounded up: waking a hair before a stall deadline would only
+        // buy a pass that finds nothing due.
+        Some(d) => d.as_nanos().div_ceil(1_000_000).min(i32::MAX as u128) as i32,
+    };
+    // SAFETY: `fds` is an exclusively borrowed slice of `struct pollfd`
+    // values, and `nfds` is its length.
+    unsafe {
+        poll(fds.as_mut_ptr(), fds.len() as NfdsT, ms);
+    }
+}
+
+/// A self-pipe that wakes a thread blocked in `poll`: any thread may
+/// `wake` it; its owner polls the read end and `drain`s it.
+pub(crate) struct WakePipe {
+    rx: UnixStream,
+    tx: UnixStream,
+}
+
+impl WakePipe {
+    fn new() -> std::io::Result<WakePipe> {
+        let (rx, tx) = UnixStream::pair()?;
+        rx.set_nonblocking(true)?;
+        tx.set_nonblocking(true)?;
+        Ok(WakePipe { rx, tx })
+    }
+
+    /// Makes the read end readable. A full pipe already holds a pending
+    /// wake-up, so a write that would block is simply dropped.
+    pub(crate) fn wake(&self) {
+        let _ = (&self.tx).write(&[1]);
+    }
+
+    fn poll_fd(&self) -> PollFd {
+        PollFd::new(self.rx.as_raw_fd(), POLLIN)
+    }
+
+    /// Consumes every pending wake-up.
+    fn drain(&self) {
+        let mut sink = [0u8; 64];
+        while matches!((&self.rx).read(&mut sink), Ok(n) if n > 0) {}
+    }
+}
+
+/// Hands accepted connections from the acceptor to one IO loop, and
+/// owns that loop's wake pipe.
 struct Injector {
     streams: Mutex<Vec<TcpStream>>,
     closed: AtomicBool,
+    wake: Arc<WakePipe>,
 }
 
 impl Injector {
-    fn new() -> Injector {
-        Injector {
+    fn new() -> std::io::Result<Injector> {
+        Ok(Injector {
             streams: Mutex::new(Vec::new()),
             closed: AtomicBool::new(false),
-        }
+            wake: Arc::new(WakePipe::new()?),
+        })
     }
 
     fn push(&self, s: TcpStream) {
         lock(&self.streams).push(s);
+        self.wake.wake();
     }
 
     fn drain(&self) -> Vec<TcpStream> {
         let mut guard = lock(&self.streams);
         std::mem::take(&mut *guard)
+    }
+
+    fn close(&self) {
+        self.closed.store(true, Ordering::Release);
+        self.wake.wake();
     }
 }
 
@@ -329,38 +445,38 @@ fn run_inner(listener: TcpListener, shared: Arc<Shared>) -> std::io::Result<Serv
         }));
     }
 
-    let injectors: Vec<Arc<Injector>> = (0..io_thread_count(nshards))
-        .map(|_| Arc::new(Injector::new()))
-        .collect();
-    let mut io_threads = Vec::with_capacity(injectors.len());
-    for inj in &injectors {
+    let mut io_threads = Vec::with_capacity(shared.loops.len());
+    for me in 0..shared.loops.len() {
         let shared = Arc::clone(&shared);
-        let inj = Arc::clone(inj);
         io_threads.push(std::thread::spawn(move || {
             cxu_obs::bind_thread_registry(shared.registry);
-            io_loop(&shared, &inj)
+            io_loop(&shared, &shared.loops[me])
         }));
     }
 
     let drain = |shared: &Shared| {
-        for inj in &injectors {
-            inj.closed.store(true, Ordering::Release);
+        for inj in &shared.loops {
+            inj.close();
         }
         shared.shards.close_all();
     };
 
+    // The acceptor's wake pipe is written only by `begin_shutdown`, so
+    // it never needs draining: the loop ends on its next check.
+    let mut fds = [
+        PollFd::new(listener.as_raw_fd(), POLLIN),
+        shared.wake.poll_fd(),
+    ];
     let mut next_io = 0usize;
     while !shared.shutting_down() {
         match listener.accept() {
             Ok((stream, _peer)) => {
                 shared.connections.fetch_add(1, Ordering::Relaxed);
                 cxu_obs::counter!("serve.connections").inc();
-                injectors[next_io].push(stream);
-                next_io = (next_io + 1) % injectors.len();
+                shared.loops[next_io].push(stream);
+                next_io = (next_io + 1) % shared.loops.len();
             }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(1));
-            }
+            Err(e) if e.kind() == ErrorKind::WouldBlock => poll_fds(&mut fds, None),
             Err(e) if e.kind() == ErrorKind::Interrupted => {}
             Err(e) => {
                 shared.begin_shutdown();
@@ -711,10 +827,57 @@ impl Conn {
         })
     }
 
+    /// The read gate: false while closing or draining, or while the
+    /// pipeline is full. The `pending_in` bound matters: when the
+    /// pipeline cap (not a missing newline) is what stalls parsing,
+    /// reading further would grow an unbounded parse backlog — the
+    /// socket is the backpressure. The `out.is_empty()` escape keeps one
+    /// oversized line (bigger than the read buffer) able to complete.
+    fn wants_read(&self, shared: &Shared, buf_len: usize, draining: bool) -> bool {
+        !self.closing
+            && !draining
+            && self.out.len() < shared.cfg.pipeline_depth.max(1)
+            && self.wbuf.len() < 64 * 1024
+            && (self.out.is_empty() || self.pending_in.len() < buf_len)
+    }
+
+    /// This connection's `poll` entry after a pass that moved nothing:
+    /// read interest exactly when `pump` would read, write interest only
+    /// with bytes to flush, and fd −1 (skipped by `poll`) when it wants
+    /// neither. Such a connection waits on its response cells, whose
+    /// `fill` wakes the loop; polling its socket anyway would let a
+    /// hung-up peer spin the loop.
+    fn interest(&self, shared: &Shared, buf_len: usize, draining: bool) -> PollFd {
+        let mut events = 0;
+        if self.wants_read(shared, buf_len, draining) {
+            events |= POLLIN;
+        }
+        if !self.wbuf.is_empty() {
+            events |= POLLOUT;
+        }
+        let fd = if events == 0 {
+            -1
+        } else {
+            self.stream.as_raw_fd()
+        };
+        PollFd::new(fd, events)
+    }
+
+    /// When the slow-loris guard fires if nothing arrives first.
+    fn stall_deadline(&self, shared: &Shared) -> Option<Instant> {
+        self.stall_since?.checked_add(shared.cfg.read_timeout?)
+    }
+
     /// One pass: flush what's ready, read what's there, parse complete
     /// lines, keep the stall clock honest. Returns true if any progress
-    /// was made (used for the IO loop's idle backoff).
-    fn pump(&mut self, shared: &Shared, buf: &mut [u8], draining: bool) -> bool {
+    /// was made; a pass that made none lets the IO loop block in `poll`.
+    fn pump(
+        &mut self,
+        shared: &Shared,
+        buf: &mut [u8],
+        draining: bool,
+        wake: &Arc<WakePipe>,
+    ) -> bool {
         if self.done {
             return false;
         }
@@ -763,18 +926,8 @@ impl Conn {
             }
         }
 
-        // Read, unless closing/draining or the pipeline is full. The
-        // `pending_in` bound matters: when the pipeline cap (not a
-        // missing newline) is what stalls parsing, reading further
-        // would grow an unbounded parse backlog — the socket is the
-        // backpressure. The `out.is_empty()` escape keeps one oversized
-        // line (bigger than the read buffer) able to complete.
-        if !self.closing
-            && !draining
-            && self.out.len() < shared.cfg.pipeline_depth.max(1)
-            && self.wbuf.len() < 64 * 1024
-            && (self.out.is_empty() || self.pending_in.len() < buf.len())
-        {
+        // Read, unless the gate says otherwise.
+        if self.wants_read(shared, buf.len(), draining) {
             match self.stream.read(buf) {
                 Ok(0) => {
                     self.closing = true;
@@ -812,6 +965,7 @@ impl Conn {
                 shared,
                 &self.pending_in[consumed..line_end],
                 &mut self.txn_acc,
+                wake,
             );
             match outcome {
                 LineOutcome::Ready(resp) => self.out.push_back(Pending::Ready(resp)),
@@ -881,7 +1035,7 @@ impl Conn {
 fn io_loop(shared: &Shared, inj: &Injector) {
     let mut conns: Vec<Conn> = Vec::new();
     let mut buf = vec![0u8; 16 * 1024];
-    let mut idle_passes: u32 = 0;
+    let mut fds: Vec<PollFd> = Vec::new();
     loop {
         let mut progress = false;
         for stream in inj.drain() {
@@ -892,7 +1046,7 @@ fn io_loop(shared: &Shared, inj: &Injector) {
         }
         let draining = shared.shutting_down();
         for conn in conns.iter_mut() {
-            progress |= conn.pump(shared, &mut buf, draining);
+            progress |= conn.pump(shared, &mut buf, draining, &inj.wake);
         }
         conns.retain(|c| !c.done);
         if draining && conns.is_empty() && inj.closed.load(Ordering::Acquire) {
@@ -904,16 +1058,28 @@ fn io_loop(shared: &Shared, inj: &Injector) {
             progress = true;
         }
         if progress {
-            idle_passes = 0;
-        } else {
-            // Briefly spin-yield (cheap reactivity under load), then
-            // back off to a sleep so an idle server doesn't burn a core.
-            idle_passes = idle_passes.saturating_add(1);
-            if idle_passes < 64 {
-                std::thread::yield_now();
-            } else {
-                std::thread::sleep(Duration::from_micros(500));
+            continue;
+        }
+        // Nothing moved: block until a wanted socket is ready, a worker
+        // fills a cell, the acceptor hands over a stream, shutdown
+        // begins, or the nearest stall deadline falls due. Every waker
+        // writes the pipe *after* publishing its change, and the pipe
+        // is drained before the next pass looks, so no wake-up is lost.
+        fds.clear();
+        fds.push(inj.wake.poll_fd());
+        let mut due: Option<Instant> = None;
+        for conn in &conns {
+            fds.push(conn.interest(shared, buf.len(), draining));
+            if let Some(at) = conn.stall_deadline(shared) {
+                due = Some(due.map_or(at, |d| d.min(at)));
             }
+        }
+        poll_fds(
+            &mut fds,
+            due.map(|at| at.saturating_duration_since(Instant::now())),
+        );
+        if fds[0].revents != 0 {
+            inj.wake.drain();
         }
     }
 }
@@ -939,7 +1105,12 @@ enum InlineCheck {
 /// Handles one complete request line on the IO thread: admin routes,
 /// the connection's transaction accumulator, and warm-cache checks
 /// inline; everything else through shard admission.
-fn handle_line(shared: &Shared, line: &[u8], txn_acc: &mut Option<TxnWire>) -> LineOutcome {
+fn handle_line(
+    shared: &Shared,
+    line: &[u8],
+    txn_acc: &mut Option<TxnWire>,
+    wake: &Arc<WakePipe>,
+) -> LineOutcome {
     let received = Instant::now();
     shared.accepted.fetch_add(1, Ordering::Relaxed);
     cxu_obs::counter!("serve.accepted").inc();
@@ -1117,7 +1288,7 @@ fn handle_line(shared: &Shared, line: &[u8], txn_acc: &mut Option<TxnWire>) -> L
                     Ok(InlineCheck::Busy) => fired = true,
                 }
             }
-            let cell = RespCell::new();
+            let cell = RespCell::new(Arc::clone(wake));
             let id = req.id;
             let job = Job {
                 req,
@@ -1128,7 +1299,7 @@ fn handle_line(shared: &Shared, line: &[u8], txn_acc: &mut Option<TxnWire>) -> L
                 prepared,
                 cell: Arc::clone(&cell),
             };
-            match shared.shards.get(home).queue.try_push(job) {
+            match shared.shards.push(home, job) {
                 Ok(()) => LineOutcome::Queued(cell),
                 Err(PushError::Full) => finish(
                     Outcome::RejectedOverload,

@@ -16,14 +16,20 @@
 //! *home* shard's cache ([`Scheduler::commit_pair`], first writer
 //! wins), so stealing moves CPU work — never cache entries — and the
 //! memo cache can never hold two conflicting verdicts for one pair.
+//!
+//! Parking: a worker with nothing to pop or steal parks on one
+//! set-wide condition (an epoch counter plus a condvar) that every push
+//! and `close_all` bumps. A job queued behind a busy home worker is
+//! therefore stolen the moment it is pushed, with no polling interval.
 
 use crate::proto::{Request, Route};
+use crate::server::{lock, WakePipe};
 use cxu_obs::{Counter, Registry};
 use cxu_ops::Semantics;
 use cxu_sched::{op_route_hash, pair_route_hash, PairTask, SchedConfig, Scheduler};
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 pub(crate) fn sem_index(s: Semantics) -> usize {
     match s {
@@ -34,27 +40,31 @@ pub(crate) fn sem_index(s: Semantics) -> usize {
 }
 
 /// Where a worker deposits the response for a queued request. The
-/// owning IO loop polls cells in per-connection FIFO order, which is
-/// what keeps pipelined responses in request order.
+/// owning IO loop takes cells in per-connection FIFO order, which is
+/// what keeps pipelined responses in request order; `fill` wakes that
+/// loop through its wake pipe.
 pub(crate) struct RespCell {
     resp: Mutex<Option<String>>,
+    wake: Arc<WakePipe>,
 }
 
 impl RespCell {
-    pub(crate) fn new() -> Arc<RespCell> {
+    pub(crate) fn new(wake: Arc<WakePipe>) -> Arc<RespCell> {
         Arc::new(RespCell {
             resp: Mutex::new(None),
+            wake,
         })
     }
 
+    /// Stores the response, then wakes the owning IO loop (in that
+    /// order: the loop must find the response once it is awake).
     pub(crate) fn fill(&self, s: String) {
-        let mut guard = self.resp.lock().unwrap_or_else(|e| e.into_inner());
-        *guard = Some(s);
+        *lock(&self.resp) = Some(s);
+        self.wake.wake();
     }
 
     pub(crate) fn take(&self) -> Option<String> {
-        let mut guard = self.resp.lock().unwrap_or_else(|e| e.into_inner());
-        guard.take()
+        lock(&self.resp).take()
     }
 }
 
@@ -83,9 +93,9 @@ pub(crate) enum PushError {
 
 /// A bounded MPMC queue. `close` flips `closed`; `try_pop` keeps
 /// handing out already-admitted jobs until empty — the drain guarantee.
+/// Waiting for work is the [`ShardSet`]'s business, not the queue's.
 pub(crate) struct Queue {
     state: Mutex<QueueState>,
-    cond: Condvar,
     depth: usize,
 }
 
@@ -101,13 +111,12 @@ impl Queue {
                 jobs: VecDeque::new(),
                 closed: false,
             }),
-            cond: Condvar::new(),
             depth: depth.max(1),
         }
     }
 
-    pub(crate) fn try_push(&self, job: Job) -> Result<(), PushError> {
-        let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
+    fn try_push(&self, job: Job) -> Result<(), PushError> {
+        let mut st = lock(&self.state);
         if st.closed {
             return Err(PushError::Closed);
         }
@@ -115,44 +124,23 @@ impl Queue {
             return Err(PushError::Full);
         }
         st.jobs.push_back(job);
-        self.cond.notify_one();
         Ok(())
     }
 
     fn try_pop(&self) -> Option<Job> {
-        self.state
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .jobs
-            .pop_front()
-    }
-
-    /// Blocks briefly (until a push, close, or the timeout) when empty.
-    /// The timeout bounds how stale an idle worker's view of *other*
-    /// shards' queues can get — it is the steal polling interval.
-    fn wait_brief(&self, timeout: Duration) {
-        let st = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        if st.jobs.is_empty() && !st.closed {
-            let _ = self.cond.wait_timeout(st, timeout);
-        }
+        lock(&self.state).jobs.pop_front()
     }
 
     fn close(&self) {
-        let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        st.closed = true;
-        self.cond.notify_all();
+        lock(&self.state).closed = true;
     }
 
     fn is_closed(&self) -> bool {
-        self.state.lock().unwrap_or_else(|e| e.into_inner()).closed
+        lock(&self.state).closed
     }
 
     pub(crate) fn len(&self) -> usize {
-        self.state
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .jobs
-            .len()
+        lock(&self.state).jobs.len()
     }
 }
 
@@ -191,6 +179,10 @@ fn fnv_str(s: &str) -> u64 {
 /// The set of shards plus deterministic request routing.
 pub(crate) struct ShardSet {
     shards: Vec<Shard>,
+    /// Bumped by every push and by `close_all`; an idle worker parks on
+    /// `parked` until it moves past the value it saw before its scan.
+    epoch: Mutex<u64>,
+    parked: Condvar,
 }
 
 impl ShardSet {
@@ -218,7 +210,11 @@ impl ShardSet {
                 }
             })
             .collect();
-        ShardSet { shards }
+        ShardSet {
+            shards,
+            epoch: Mutex::new(0),
+            parked: Condvar::new(),
+        }
     }
 
     pub(crate) fn len(&self) -> usize {
@@ -260,20 +256,34 @@ impl ShardSet {
         self.shards.iter().map(|s| s.queue.len()).sum()
     }
 
+    /// Admits `job` to shard `home`'s queue and wakes one parked
+    /// worker — any worker may take it, the home one or a thief.
+    pub(crate) fn push(&self, home: usize, job: Job) -> Result<(), PushError> {
+        self.shards[home].queue.try_push(job)?;
+        *lock(&self.epoch) += 1;
+        self.parked.notify_one();
+        Ok(())
+    }
+
     pub(crate) fn close_all(&self) {
         for s in &self.shards {
             s.queue.close();
         }
+        *lock(&self.epoch) += 1;
+        self.parked.notify_all();
     }
 
     /// The worker pop path: own queue first; when it is empty, steal
     /// the oldest job from another shard (scanning from `me + 1` so two
     /// idle workers don't always raid the same victim). Returns `None`
     /// only when every queue is closed *and* empty — admitted jobs are
-    /// always drained, even across shards.
+    /// always drained, even across shards. With nothing to take, the
+    /// worker parks until the epoch moves: a push or close that lands
+    /// after the epoch was read cannot be missed.
     pub(crate) fn next_job(&self, me: usize) -> Option<Job> {
         let n = self.shards.len();
         loop {
+            let seen = *lock(&self.epoch);
             if let Some(job) = self.shards[me].queue.try_pop() {
                 return Some(job);
             }
@@ -290,7 +300,10 @@ impl ShardSet {
             {
                 return None;
             }
-            self.shards[me].queue.wait_brief(Duration::from_millis(1));
+            let mut epoch = lock(&self.epoch);
+            while *epoch == seen {
+                epoch = self.parked.wait(epoch).unwrap_or_else(|e| e.into_inner());
+            }
         }
     }
 }

@@ -33,31 +33,47 @@ pub fn enumerate_trees(alphabet: &[Symbol], max_nodes: usize) -> Vec<Tree> {
 /// overflowing (which used to panic in debug builds and silently wrap
 /// in release builds).
 pub fn count_trees(alphabet_len: usize, max_nodes: usize) -> u128 {
-    // t[n] = number of classes with exactly n nodes.
-    let mut t = vec![0u128; max_nodes + 1];
-    if max_nodes == 0 {
+    count_trees_capped(alphabet_len, max_nodes, u128::MAX)
+}
+
+/// [`count_trees`] that stops once the running total passes `cap`.
+///
+/// Exact whenever the exact count is at most `cap`; otherwise some value
+/// above `cap` (every intermediate is either exact or already past the
+/// cap). A budget check only needs that much, and it stays cheap at
+/// any `max_nodes`: the count passes any cap within a few dozen sizes,
+/// while the full count costs about `max_nodes⁴` steps (seconds at a
+/// few hundred nodes, minutes at a thousand). The uncapped count stops
+/// early too, once it saturates.
+pub fn count_trees_capped(alphabet_len: usize, max_nodes: usize, cap: u128) -> u128 {
+    if max_nodes == 0 || alphabet_len == 0 {
         return 0;
     }
+    // t[n] = number of classes with exactly n nodes.
+    let mut t = vec![0u128; max_nodes + 1];
     t[1] = alphabet_len as u128;
+    let mut total = t[1];
     for n in 2..=max_nodes {
-        // Multisets over all classes of size < n with sizes summing to n-1.
-        // f(budget, min_size): number of multisets, where classes are
-        // grouped by size and within one size we choose a multiset of
-        // classes. We approximate by dynamic programming over "choose k
-        // items of size s", iterating sizes from large to small.
-        t[n] = (alphabet_len as u128).saturating_mul(multisets(&t, n - 1));
+        if total > cap || total == u128::MAX {
+            break;
+        }
+        // A root label times a multiset of smaller classes whose sizes
+        // sum to n-1.
+        t[n] = (alphabet_len as u128).saturating_mul(multisets(&t, n - 1, cap));
+        total = total.saturating_add(t[n]);
     }
-    t.iter().fold(0u128, |acc, &v| acc.saturating_add(v))
+    total
 }
 
 /// Number of multisets of trees (classes counted by `t[size]`) with total
-/// size exactly `budget`. Saturating, like [`count_trees`].
-fn multisets(t: &[u128], budget: usize) -> u128 {
-    // g[s][b] = multisets using classes of size ≤ s with total b.
-    let max_s = budget;
+/// size exactly `budget`. Saturating, like [`count_trees`], and exact
+/// while the result stays at most `cap` (see [`count_trees_capped`]).
+fn multisets(t: &[u128], budget: usize, cap: u128) -> u128 {
+    // g[b] = multisets using classes of size ≤ s with total b, for the
+    // sizes s folded in so far.
     let mut g = vec![0u128; budget + 1];
     g[0] = 1;
-    for s in 1..=max_s {
+    for s in 1..=budget {
         let classes = t[s];
         if classes == 0 {
             continue;
@@ -67,7 +83,7 @@ fn multisets(t: &[u128], budget: usize) -> u128 {
             // choose k ≥ 0 subtrees of size s: multiset of k from `classes`
             let mut k = 0usize;
             while k * s <= b {
-                let ways = multiset_choose(classes, k as u128);
+                let ways = multiset_choose(classes, k as u128, cap);
                 next[b] = next[b].saturating_add(ways.saturating_mul(g[b - k * s]));
                 k += 1;
             }
@@ -80,12 +96,17 @@ fn multisets(t: &[u128], budget: usize) -> u128 {
 /// C(n + k - 1, k): multisets of size k from n classes. Returns
 /// `u128::MAX` on overflow — a saturated numerator divided by a
 /// saturated denominator would *undercount*, which could wave an
-/// astronomically large search space past the budget check.
-fn multiset_choose(n: u128, k: u128) -> u128 {
+/// astronomically large search space past the budget check. Stops as
+/// soon as the partial product passes `cap`: for n ≥ 1 the partial
+/// products never decrease, so the exact value is past it too.
+fn multiset_choose(n: u128, k: u128, cap: u128) -> u128 {
     // result = result · (n + i) / (i + 1) keeps an exact integer at
     // every step (it equals C(n + i, i + 1) after step i).
     let mut c: u128 = 1;
     for i in 0..k {
+        if c > cap {
+            break;
+        }
         let Some(x) = c.checked_mul(n.saturating_add(i)) else {
             return u128::MAX;
         };
@@ -269,6 +290,34 @@ mod tests {
         // Monotone in both arguments around the saturation region.
         assert!(count_trees(10, 80) >= count_trees(10, 40));
         assert!(count_trees(10, 40) >= count_trees(5, 40));
+    }
+
+    #[test]
+    fn capped_count_is_exact_up_to_the_cap_and_past_it_beyond() {
+        for labels in 1..=6usize {
+            for n in 0..=14usize {
+                let exact = count_trees(labels, n);
+                for cap in [0u128, 1, 5, 100, 1_202, 5_000, 100_751, 2_000_000, exact] {
+                    let capped = count_trees_capped(labels, n, cap);
+                    if exact <= cap {
+                        assert_eq!(capped, exact, "labels={labels} n={n} cap={cap}");
+                    } else {
+                        assert!(capped > cap, "labels={labels} n={n} cap={cap}: {capped}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn capped_count_of_a_deep_pattern_bound_is_cheap() {
+        // A read nested 1000 deep against a one-step delete has a
+        // Lemma 11 bound of about 2,000 nodes; the exact count would
+        // take hours. The capped one stops within a few sizes.
+        let t0 = std::time::Instant::now();
+        assert!(count_trees_capped(6, 2_002, 5_000) > 5_000);
+        assert_eq!(count_trees(6, 2_002), u128::MAX);
+        assert!(t0.elapsed() < std::time::Duration::from_secs(5));
     }
 
     #[test]

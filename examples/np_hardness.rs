@@ -98,7 +98,7 @@ fn main() {
         let verdict = match &out {
             SearchOutcome::Conflict(w) => format!("witness of {} nodes", w.live_count()),
             SearchOutcome::NoConflictWithin(_) => "no witness".into(),
-            SearchOutcome::BudgetExceeded(n) => format!("budget exceeded ({n} candidates)"),
+            SearchOutcome::BudgetExceeded(_) => "budget exceeded".into(),
             SearchOutcome::DeadlineExceeded => "deadline exceeded".into(),
         };
         println!("    bound {max_nodes} nodes: {verdict:<24} in {dt:?}");

@@ -60,6 +60,27 @@ wait "$serve_pid" || { echo "server exited nonzero after SIGTERM"; cat "$serve_l
 grep -q 'drained after' "$serve_log" \
     || { echo "server did not report a clean drain"; cat "$serve_log"; exit 1; }
 
+echo "==> idle server stays idle (under 1% of one CPU over 2 s; reads /proc, Linux only)"
+./target/release/cxu serve --addr 127.0.0.1:0 --shards 4 > "$serve_log" 2>&1 &
+serve_pid=$!
+addr=""
+for _ in $(seq 1 50); do
+    addr=$(grep -oE '127\.0\.0\.1:[0-9]+' "$serve_log" || true)
+    [ -n "$addr" ] && break
+    sleep 0.1
+done
+[ -n "$addr" ] || { echo "server never announced its address"; cat "$serve_log"; exit 1; }
+# The first field of a thread's schedstat is its time on a CPU, in ns.
+cpu_ns() { cat /proc/"$serve_pid"/task/*/schedstat | awk '{ s += $1 } END { print s }'; }
+before=$(cpu_ns)
+sleep 2
+idle_ns=$(( $(cpu_ns) - before ))
+kill -TERM "$serve_pid"
+wait "$serve_pid" || { echo "idle server exited nonzero after SIGTERM"; cat "$serve_log"; exit 1; }
+echo "idle server: ${idle_ns} ns of CPU in 2 s"
+[ "$idle_ns" -le 20000000 ] \
+    || { echo "idle server used ${idle_ns} ns of CPU in 2 s (limit 20 ms)"; exit 1; }
+
 echo "==> serve overload (queue depth 1: burst must bounce, server must drain)"
 ./target/release/cxu serve --addr 127.0.0.1:0 --workers 1 --queue-depth 1 \
     > "$serve_log" 2>&1 &

@@ -802,3 +802,137 @@ fn doc_check_answers_grounded_verdicts_over_the_socket() {
     assert_identity(&summary);
     assert_eq!(summary.failed, 0);
 }
+
+/// Joins the server thread, failing the test if the drain takes longer
+/// than `limit` instead of hanging it.
+fn join_within(
+    join: std::thread::JoinHandle<ServeSummary>,
+    limit: Duration,
+) -> (ServeSummary, Duration) {
+    let t0 = Instant::now();
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = tx.send(join.join());
+    });
+    let summary = rx
+        .recv_timeout(limit)
+        .unwrap_or_else(|_| panic!("server did not drain within {limit:?}"))
+        .expect("server thread panicked");
+    (summary, t0.elapsed())
+}
+
+/// (l) A deeply nested branching read is answered within its deadline:
+/// the NP-side budget check counts candidate trees only until the count
+/// passes the budget, instead of counting every tree up to the Lemma 11
+/// bound (about 2,000 nodes at depth 1000) before comparing. The server
+/// then drains promptly.
+#[test]
+fn deep_patterns_are_answered_within_the_deadline_and_drain() {
+    let _g = lock();
+    let (addr, handle, join) = start(ServeConfig {
+        workers: 1,
+        ..ServeConfig::default()
+    });
+    let mut c = Client::connect(addr);
+    for (id, depth) in [(1u64, 200usize), (2, 1000)] {
+        let read = (0..depth).fold("b".to_owned(), |p, _| format!("a[{p}]"));
+        let req = format!(
+            r#"{{"route": "check", "id": {id}, "deadline_ms": 100, "a": {{"kind": "read", "pattern": "{read}"}}, "b": {{"kind": "delete", "pattern": "x/y"}}}}"#
+        );
+        let t0 = Instant::now();
+        let v = c.roundtrip(&req);
+        let took = t0.elapsed();
+        assert_eq!(v.get("ok").and_then(Json::as_bool), Some(true), "{v:?}");
+        assert_eq!(v.get("id").and_then(Json::as_u64), Some(id));
+        assert!(
+            took < Duration::from_secs(1),
+            "depth {depth} answered after {took:?}, past its 100 ms deadline plus slack"
+        );
+    }
+    handle.shutdown();
+    drop(c);
+    let (summary, took) = join_within(join, Duration::from_secs(2));
+    assert!(took < Duration::from_secs(2), "drain took {took:?}");
+    assert_identity(&summary);
+    assert_eq!(summary.completed, 2);
+}
+
+/// (m) A job queued behind a busy home worker is stolen as soon as it
+/// is pushed: the idle worker parks on a condition every push signals,
+/// not on its own queue (which would never see the job) and not on a
+/// polling timer.
+#[test]
+fn queued_job_behind_a_busy_home_worker_is_stolen_at_once() {
+    let _g = lock();
+    let (addr, handle, join) = start(ServeConfig {
+        workers: 2,
+        ..ServeConfig::default()
+    });
+    // A occupies a worker for 500 ms. Wait until a worker has popped
+    // it: in flight (beside the health probe itself), nothing queued.
+    let mut a = Client::connect(addr);
+    a.send(&delayed_check(500, 1));
+    let mut b = Client::connect(addr);
+    let popped = |h: &Json| {
+        h.get("in_flight").and_then(Json::as_u64) == Some(2)
+            && h.get("queued").and_then(Json::as_u64) == Some(0)
+    };
+    while !popped(&b.roundtrip(r#"{"route": "health"}"#)) {}
+    // B: the same pair, so the same home shard, and a cache miss (A has
+    // not committed its verdict yet).
+    let t0 = Instant::now();
+    let v = b.roundtrip(&delayed_check(0, 2));
+    let took = t0.elapsed();
+    assert_eq!(v.get("ok").and_then(Json::as_bool), Some(true), "{v:?}");
+    assert_eq!(v.get("id").and_then(Json::as_u64), Some(2));
+    assert_eq!(v.get("cached").and_then(Json::as_bool), Some(false));
+    assert!(
+        took < Duration::from_millis(250),
+        "B waited {took:?} behind A instead of being stolen"
+    );
+    let v = a.recv();
+    assert_eq!(v.get("ok").and_then(Json::as_bool), Some(true), "{v:?}");
+    assert_eq!(v.get("id").and_then(Json::as_u64), Some(1));
+    handle.shutdown();
+    drop((a, b));
+    let summary = join.join().unwrap();
+    assert_identity(&summary);
+    assert_eq!(summary.failed, 0);
+}
+
+/// (n) A client that pipelines a window of queued requests and then
+/// half-closes still gets every answer, in order, then EOF. After the
+/// EOF the connection has no poll interest at all (no reads, nothing to
+/// flush): only its response cells can wake the IO loop.
+#[test]
+fn half_closed_client_still_receives_every_queued_answer() {
+    let _g = lock();
+    const WINDOW: u64 = 32;
+    let (addr, handle, join) = start(ServeConfig::default());
+    let mut c = Client::connect(addr);
+    let mut batch = String::new();
+    for id in 0..WINDOW {
+        batch.push_str(&delayed_check(20, id));
+        batch.push('\n');
+    }
+    c.writer.write_all(batch.as_bytes()).expect("batch write");
+    c.writer
+        .shutdown(std::net::Shutdown::Write)
+        .expect("half-close");
+    for id in 0..WINDOW {
+        let v = c.recv();
+        assert_eq!(v.get("ok").and_then(Json::as_bool), Some(true), "{v:?}");
+        assert_eq!(
+            v.get("id").and_then(Json::as_u64),
+            Some(id),
+            "answers must arrive in request order"
+        );
+    }
+    let mut line = String::new();
+    assert_eq!(c.reader.read_line(&mut line).expect("eof read"), 0);
+    handle.shutdown();
+    drop(c);
+    let summary = join.join().unwrap();
+    assert_identity(&summary);
+    assert_eq!(summary.completed, WINDOW);
+}
