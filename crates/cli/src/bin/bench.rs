@@ -1,17 +1,21 @@
-//! `cxu-bench` — hermetic perf measurements for the bench artifacts.
+//! `cxu-bench` — hermetic measurements and the experiment report.
 //!
-//! Unlike `crates/bench` (criterion, excluded from the workspace so the
-//! default build stays offline), this binary uses only workspace crates
-//! and wall-clock timing, so CI can produce `BENCH_AUTOMATA.json` and
-//! `BENCH_SCHED.json` on a fixed seed with no network access:
+//! It uses only workspace crates and wall-clock timing, so it builds and
+//! runs offline. Three modes write the committed bench artifacts on fixed
+//! seeds, and `experiments` prints every `EXPERIMENTS.md` table (E4a–E15):
 //!
 //! ```text
-//! cxu-bench automata > BENCH_AUTOMATA.json
-//! cxu-bench sched    > BENCH_SCHED.json
-//! cxu-bench index    > BENCH_INDEX.json
+//! cxu-bench automata    > BENCH_AUTOMATA.json
+//! cxu-bench sched       > BENCH_SCHED.json
+//! cxu-bench index       > BENCH_INDEX.json
+//! cxu-bench experiments > report.md
 //! ```
 //!
-//! `scripts/bench.sh` wraps all invocations.
+//! `scripts/bench.sh` wraps the first three; `scripts/verify.sh` runs
+//! `experiments`, which exits nonzero when one of its checks fails.
+
+#[path = "bench/experiments.rs"]
+mod experiments;
 
 use cxu::gen::patterns::{random_pattern, PatternParams};
 use cxu::gen::program::{random_program, ProgramParams};
@@ -25,29 +29,34 @@ fn main() {
         "automata" => bench_automata(),
         "sched" => bench_sched(),
         "index" => bench_index(),
+        "experiments" => experiments::run(),
         _ => {
-            eprintln!("usage: cxu-bench <automata|sched|index>");
+            eprintln!("usage: cxu-bench <automata|sched|index|experiments>");
             std::process::exit(2);
         }
     }
 }
 
-/// Median-of-runs ns/op for `f` over `iters` iterations.
-fn time_ns<F: FnMut() -> bool>(iters: u32, mut f: F) -> f64 {
-    let mut samples = [0f64; 5];
-    for s in samples.iter_mut() {
-        let t0 = Instant::now();
-        let mut acc = false;
-        for _ in 0..iters {
-            acc ^= f();
-        }
-        let dt = t0.elapsed().as_nanos() as f64 / iters as f64;
-        // Keep the side effect alive without printing it.
-        std::hint::black_box(acc);
-        *s = dt;
-    }
-    samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    samples[2]
+/// The median of `samples` (the upper one for an even count).
+fn median(mut samples: Vec<f64>) -> f64 {
+    samples.sort_by(f64::total_cmp);
+    samples[samples.len() / 2]
+}
+
+/// Median over `reps` samples of the wall time per call of `f`, in ns.
+/// Each sample times `iters` back-to-back calls.
+fn median_ns<R>(reps: usize, iters: u32, mut f: impl FnMut() -> R) -> f64 {
+    median(
+        (0..reps)
+            .map(|_| {
+                let t0 = Instant::now();
+                for _ in 0..iters {
+                    std::hint::black_box(f());
+                }
+                t0.elapsed().as_nanos() as f64 / f64::from(iters)
+            })
+            .collect(),
+    )
 }
 
 /// Intersection-emptiness microbench: the legacy `Nfa` product (per-call
@@ -72,7 +81,7 @@ fn bench_automata() {
     // Before: lower both patterns and run the HashSet-based product, per
     // call — the shape of the old PTIME hot path.
     let mut k = 0usize;
-    let legacy_ns = time_ns(200, || {
+    let legacy_ns = median_ns(5, 200, || {
         let (i, j) = pairs[k % pairs.len()];
         k += 1;
         nfa(&pats[i]).intersects(&nfa(&pats[j]))
@@ -81,13 +90,13 @@ fn bench_automata() {
     // After: compile once, run the allocation-free bitset product.
     let chains: Vec<_> = pats.iter().map(compile).collect();
     let mut k2 = 0usize;
-    let compiled_ns = time_ns(2000, || {
+    let compiled_ns = median_ns(5, 2000, || {
         let (i, j) = pairs[k2 % pairs.len()];
         k2 += 1;
         chains[i].intersects(&chains[j])
     });
     let mut k3 = 0usize;
-    let compiled_weak_ns = time_ns(2000, || {
+    let compiled_weak_ns = median_ns(5, 2000, || {
         let (i, j) = pairs[k3 % pairs.len()];
         k3 += 1;
         chains[i].intersects_weak(&chains[j])
@@ -119,9 +128,8 @@ struct Profile {
     seed: u64,
 }
 
-/// `mixed` mirrors the `crates/bench` criterion workload (same sizes,
-/// seeds, and config) — update-heavy, so overlapping update pairs route
-/// a large share of the time into the NP-side bounded searches.
+/// `mixed` is update-heavy, so overlapping update pairs route a large
+/// share of the time into the NP-side bounded searches.
 /// `linear` is read-dominated: pair decisions stay on the §4 PTIME
 /// read–update detector and the batch pre-filter, the paths this crate's
 /// compiled automata accelerate.

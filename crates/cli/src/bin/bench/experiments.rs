@@ -1,53 +1,145 @@
-//! Regenerates every table in `EXPERIMENTS.md` as markdown on stdout.
+//! `cxu-bench experiments` — regenerates every table in `EXPERIMENTS.md`
+//! (E4a–E15) as markdown on stdout.
 //!
 //! Each section corresponds to an experiment id in `DESIGN.md` §5. The
 //! paper is a theory paper — the "expected" column is the *shape* its
 //! theorems predict (polynomial vs exponential, equal vs different), not
-//! absolute numbers. Run in release mode:
+//! absolute numbers. The report is also a check: it exits nonzero if
+//! Theorem 4's agreement (E5) is incomplete, a minimized witness (E6)
+//! stops witnessing, or a hoist (E9) changes what a program observes.
 //!
 //! ```text
-//! cargo run --release -p cxu-bench --bin experiments
+//! cargo run --release -p cxu-cli --bin cxu-bench -- experiments
 //! ```
+//!
+//! Every instance is seeded ([`SplitMix64`]), so two runs measure the
+//! same instances.
 
+use crate::{median, median_ns};
 use cxu::core::brute::{find_witness, Budget, SearchOutcome};
 use cxu::core::{matching, reduction, update_update, witness_min};
+use cxu::gen::patterns::{random_pattern, PatternParams};
 use cxu::gen::program::{motion_candidates, observe, random_program, ProgramParams, Stmt};
+use cxu::gen::rng::SplitMix64;
 use cxu::gen::trees::{random_tree, TreeParams};
 use cxu::pattern::{containment, embed, eval};
 use cxu::prelude::*;
 use cxu::tree::enumerate::count_trees;
 use cxu::{detect, witness};
-use cxu_bench::*;
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-/// Median-of-`reps` wall time for `f`.
-fn time<F: FnMut()>(reps: usize, mut f: F) -> Duration {
-    let mut samples: Vec<Duration> = (0..reps)
-        .map(|_| {
-            let t0 = Instant::now();
-            f();
-            t0.elapsed()
-        })
-        .collect();
-    samples.sort_unstable();
-    samples[samples.len() / 2]
+/// A deterministic linear pattern of exactly `n` nodes: labels cycle
+/// through a small alphabet, every third edge is a descendant edge, every
+/// fifth node a wildcard. Shapes are fixed so scaling curves measure size,
+/// not shape noise.
+fn sized_linear_pattern(n: usize, salt: u64) -> Pattern {
+    let lbl = |i: usize| -> Option<Symbol> {
+        if (i + salt as usize) % 5 == 4 {
+            None
+        } else {
+            Some(Symbol::intern(&format!("s{}", (i + salt as usize) % 4)))
+        }
+    };
+    let mut p = Pattern::new(lbl(0));
+    let mut cur = p.root();
+    for i in 1..n.max(1) {
+        let axis = if (i + salt as usize) % 3 == 2 {
+            Axis::Descendant
+        } else {
+            Axis::Child
+        };
+        cur = p.add_child(cur, axis, lbl(i));
+    }
+    p.set_output(cur);
+    p
 }
 
-fn fmt_dur(d: Duration) -> String {
-    if d.as_secs() >= 1 {
-        format!("{:.2} s", d.as_secs_f64())
-    } else if d.as_millis() >= 1 {
-        format!("{:.2} ms", d.as_secs_f64() * 1e3)
-    } else if d.as_micros() >= 1 {
-        format!("{:.1} µs", d.as_secs_f64() * 1e6)
+/// A read/insert pair of the given pattern size (both linear).
+fn sized_insert_instance(n: usize) -> (Read, Insert) {
+    let r = Read::new(sized_linear_pattern(n, 0));
+    let x = cxu::tree::text::parse("s1(s2 s3)").unwrap();
+    let i = Insert::new(sized_linear_pattern(n, 1), x);
+    (r, i)
+}
+
+/// A read/delete pair of the given pattern size (both linear).
+fn sized_delete_instance(n: usize) -> (Read, Delete) {
+    let r = Read::new(sized_linear_pattern(n, 0));
+    let d = Delete::new(sized_linear_pattern(n.max(2), 1))
+        .expect("sized patterns of ≥2 nodes have non-root output");
+    (r, d)
+}
+
+/// A read/insert pair of size `n` that is **guaranteed to conflict**:
+/// the insert's pattern is the read's spine minus its last node, and `X`
+/// is a model of that last node — the §1 situation at scale.
+fn sized_conflicting_insert_instance(n: usize) -> (Read, Insert) {
+    let read_pat = sized_linear_pattern(n.max(2), 0);
+    let spine: Vec<_> = read_pat
+        .path(read_pat.root(), read_pat.output())
+        .expect("linear");
+    let ins_pat = read_pat
+        .seq(spine[0], spine[spine.len() - 2])
+        .expect("prefix is a path");
+    let x = read_pat
+        .subpattern(*spine.last().expect("nonempty"))
+        .model_fresh(&[]);
+    (Read::new(read_pat), Insert::new(ins_pat, x))
+}
+
+/// A random document of `n` nodes over the same `s0..s3` alphabet the
+/// sized patterns use, so evaluations actually match.
+fn sized_document(n: usize, seed: u64) -> Tree {
+    random_tree(
+        &mut SplitMix64::seed_from_u64(seed),
+        &TreeParams {
+            nodes: n,
+            labels: (0..4).map(|i| Symbol::intern(&format!("s{i}"))).collect(),
+            deep_bias: 0.35,
+            ..TreeParams::default()
+        },
+    )
+}
+
+/// A pattern with exactly `k` descendant edges and the rest child edges —
+/// the scaling knob of the exact containment procedure (its canonical
+/// model count is `(w+2)^k`).
+fn pattern_with_desc_edges(total_nodes: usize, k: usize) -> Pattern {
+    let mut p = Pattern::new(Some(Symbol::intern("c0")));
+    let mut cur = p.root();
+    for i in 1..total_nodes {
+        let axis = if i <= k {
+            Axis::Descendant
+        } else {
+            Axis::Child
+        };
+        cur = p.add_child(cur, axis, Some(Symbol::intern(&format!("c{}", i % 3))));
+    }
+    p.set_output(cur);
+    p
+}
+
+fn parse(src: &str) -> Pattern {
+    cxu::pattern::xpath::parse(src).unwrap()
+}
+
+fn term(src: &str) -> Tree {
+    cxu::tree::text::parse(src).unwrap()
+}
+
+fn fmt_ns(ns: f64) -> String {
+    if ns >= 1e9 {
+        format!("{:.2} s", ns / 1e9)
+    } else if ns >= 1e6 {
+        format!("{:.2} ms", ns / 1e6)
+    } else if ns >= 1e3 {
+        format!("{:.1} µs", ns / 1e3)
     } else {
-        format!("{} ns", d.as_nanos())
+        format!("{ns:.0} ns")
     }
 }
 
-fn e3_e4_linear_scaling() {
+fn e4a_linear_scaling() {
     println!("\n## E4a — PTIME detectors: time vs pattern size (Theorems 1–2)\n");
     println!("| |R| = |U| | read-insert | read-delete | growth |");
     println!("|---|---|---|---|");
@@ -55,54 +147,43 @@ fn e3_e4_linear_scaling() {
     for n in [8usize, 32, 128, 512, 2048] {
         let (ri, ii) = sized_insert_instance(n);
         let (rd, dd) = sized_delete_instance(n);
-        let t_ins = time(9, || {
-            let _ = detect::read_insert_conflict(&ri, &ii, Semantics::Node).unwrap();
+        let t_ins = median_ns(9, 1, || {
+            detect::read_insert_conflict(&ri, &ii, Semantics::Node).unwrap()
         });
-        let t_del = time(9, || {
-            let _ = detect::read_delete_conflict(&rd, &dd, Semantics::Node).unwrap();
+        let t_del = median_ns(9, 1, || {
+            detect::read_delete_conflict(&rd, &dd, Semantics::Node).unwrap()
         });
-        let cur = t_ins.as_secs_f64();
         let growth = prev
-            .map(|p| format!("×{:.1} for ×4 size", cur / p))
+            .map(|p| format!("×{:.1} for ×4 size", t_ins / p))
             .unwrap_or_else(|| "—".into());
-        prev = Some(cur);
-        println!("| {n} | {} | {} | {growth} |", fmt_dur(t_ins), fmt_dur(t_del));
+        prev = Some(t_ins);
+        println!("| {n} | {} | {} | {growth} |", fmt_ns(t_ins), fmt_ns(t_del));
     }
     println!("\nExpected shape: polynomial (the paper proves PTIME; ours is");
     println!("roughly quadratic in pattern size from the product pass).");
 }
 
-fn e4_crossover() {
+fn e4b_crossover() {
     println!("\n## E4b — exhaustive search vs the PTIME detector (§5 vs §4)\n");
-    let parse = |s: &str| cxu::pattern::xpath::parse(s).unwrap();
     let r = Read::new(parse("s0[s1][s2]/s3"));
-    let u = Update::Insert(Insert::new(
-        parse("s0[s1]/s2"),
-        cxu::tree::text::parse("s3").unwrap(),
-    ));
+    let u = Update::Insert(Insert::new(parse("s0[s1]/s2"), term("s3")));
     println!("| witness bound (nodes) | candidate trees | search time |");
     println!("|---|---|---|");
     for max_nodes in 2..=6 {
         let alpha_len = cxu::core::brute::witness_alphabet(&r, &u).len();
         let cands = count_trees(alpha_len, max_nodes);
-        let t = time(3, || {
-            let _ = find_witness(
-                &r,
-                &u,
-                Semantics::Node,
-                Budget {
-                    max_nodes,
-                    max_trees: 100_000_000,
-                },
-            );
-        });
-        println!("| {max_nodes} | {cands} | {} |", fmt_dur(t));
+        let budget = Budget {
+            max_nodes,
+            max_trees: 100_000_000,
+        };
+        let t = median_ns(3, 1, || find_witness(&r, &u, Semantics::Node, budget));
+        println!("| {max_nodes} | {cands} | {} |", fmt_ns(t));
     }
     let r_lin = Read::new(parse("s0/s2/s3"));
-    let t_lin = time(9, || {
-        let _ = detect::read_update_conflict(&r_lin, &u, Semantics::Node).unwrap();
+    let t_lin = median_ns(9, 1, || {
+        detect::read_update_conflict(&r_lin, &u, Semantics::Node).unwrap()
     });
-    println!("| linear read (PTIME path) | — | {} |", fmt_dur(t_lin));
+    println!("| linear read (PTIME path) | — | {} |", fmt_ns(t_lin));
     println!("\nExpected shape: exponential growth on the NP path, constant on");
     println!("the PTIME path — the crossover sits below 4-node witnesses.");
 }
@@ -112,16 +193,16 @@ fn e5_reduction() {
     // Agreement sweep.
     let mut agree = 0usize;
     let mut total = 0usize;
+    let params = PatternParams {
+        nodes: 3,
+        alphabet: 2,
+        branch_rate: 0.35,
+        ..PatternParams::default()
+    };
     for seed in 0..200u64 {
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let params = cxu::gen::patterns::PatternParams {
-            nodes: 3,
-            alphabet: 2,
-            branch_rate: 0.35,
-            ..Default::default()
-        };
-        let p = cxu::gen::patterns::random_pattern(&mut rng, &params);
-        let q = cxu::gen::patterns::random_pattern(&mut rng, &params);
+        let mut rng = SplitMix64::seed_from_u64(seed);
+        let p = random_pattern(&mut rng, &params);
+        let q = random_pattern(&mut rng, &params);
         let Some(contained) = containment::contains_within(&p, &q, 1 << 12) else {
             continue;
         };
@@ -130,13 +211,12 @@ fn e5_reduction() {
             let w = reduction::insert_witness_from_counterexample(&p, &q, &t_p);
             witness::witnesses_insert_conflict(&r, &i, &w, Semantics::Node)
         } else {
+            let budget = Budget {
+                max_nodes: 4,
+                max_trees: 200_000,
+            };
             matches!(
-                find_witness(
-                    &r,
-                    &Update::Insert(i),
-                    Semantics::Node,
-                    Budget { max_nodes: 4, max_trees: 200_000 }
-                ),
+                find_witness(&r, &Update::Insert(i), Semantics::Node, budget),
                 SearchOutcome::Conflict(_)
             )
         };
@@ -146,6 +226,10 @@ fn e5_reduction() {
         }
     }
     println!("Theorem 4 agreement on {total} random pairs: {agree}/{total} (expected: all)\n");
+    assert_eq!(
+        agree, total,
+        "Theorem 4: conflict must equal non-containment"
+    );
 
     // Cost of the exact decision procedure without the homomorphism
     // fast path: sweep every canonical model of p (Miklau–Suciu). With a
@@ -155,22 +239,18 @@ fn e5_reduction() {
     for k in 1..=6 {
         let p = pattern_with_desc_edges(8, k);
         // Container with star-length 2 ending in p's leaf label.
-        let q = {
-            let leaf = format!("c{}", 7 % 3);
-            cxu::pattern::xpath::parse(&format!("c0//*/*/{leaf}")).unwrap()
-        };
+        let q = parse(&format!("c0//*/*/c{}", 7 % 3));
         let w = q.star_length();
-        let sweep = containment::canonical_models(&p, w, &q.alphabet());
-        let models = sweep.total();
-        let t_exact = time(3, || {
-            let all = containment::canonical_models(&p, w, &q.alphabet())
-                .all(|m| eval::matches(&q, &m));
-            std::hint::black_box(all);
+        let models = containment::canonical_models(&p, w, &q.alphabet()).total();
+        let t_exact = median_ns(3, 1, || {
+            containment::canonical_models(&p, w, &q.alphabet()).all(|m| eval::matches(&q, &m))
         });
-        let t_hom = time(9, || {
-            let _ = containment::homomorphism(&p, &q);
-        });
-        println!("| {k} | {models} | {} | {} |", fmt_dur(t_exact), fmt_dur(t_hom));
+        let t_hom = median_ns(9, 1, || containment::homomorphism(&p, &q));
+        println!(
+            "| {k} | {models} | {} | {} |",
+            fmt_ns(t_exact),
+            fmt_ns(t_hom)
+        );
     }
     println!("\nExpected shape: sweep cost ∝ (w+2)^k; homomorphism flat (PTIME but incomplete).");
 }
@@ -179,35 +259,19 @@ fn e6_witness_minimization() {
     println!("\n## E6 — witness minimization (Lemmas 9–11)\n");
     println!("| case | bloated witness | minimized | Lemma 11 bound |");
     println!("|---|---|---|---|");
-    let parse = |s: &str| cxu::pattern::xpath::parse(s).unwrap();
-    let cases: Vec<(&str, Read, Update, Tree)> = {
-        let mk_del = |r: &str, d: &str, w: &str| {
-            (
-                Read::new(parse(r)),
-                Update::Delete(Delete::new(parse(d)).unwrap()),
-                cxu::tree::text::parse(w).unwrap(),
-            )
-        };
-        let mk_ins = |r: &str, i: &str, x: &str, w: &str| {
-            (
-                Read::new(parse(r)),
-                Update::Insert(Insert::new(parse(i), cxu::tree::text::parse(x).unwrap())),
-                cxu::tree::text::parse(w).unwrap(),
-            )
-        };
-        let (r1, u1, w1) = mk_ins("x//C", "x/B", "C", "x(B)");
-        let (r2, u2, w2) = mk_del("a//v", "a/b", "a(b(v))");
-        let (r3, u3, w3) = mk_del("a/*/*/v", "a//b", "a(b(m(v)))");
-        vec![
-            ("insert §1", r1, u1, w1),
-            ("delete fig5", r2, u2, w2),
-            ("star-chain", r3, u3, w3),
-        ]
-    };
-    for (name, r, u, seed_witness) in cases {
+    let del = |d: &str| Update::Delete(Delete::new(parse(d)).unwrap());
+    let ins = |i: &str, x: &str| Update::Insert(Insert::new(parse(i), term(x)));
+    let cases = [
+        ("insert §1", "x//C", ins("x/B", "C"), "x(B)"),
+        ("delete fig5", "a//v", del("a/b"), "a(b(v))"),
+        ("star-chain", "a/*/*/v", del("a//b"), "a(b(m(v)))"),
+    ];
+    let noise = term("n0(n1(n2) n3(n4 n5))");
+    for (name, r, u, w) in cases {
+        let r = Read::new(parse(r));
+        let seed_witness = term(w);
         // Bloat the witness with noise at every node.
         let mut big = seed_witness.clone();
-        let noise = cxu::tree::text::parse("n0(n1(n2) n3(n4 n5))").unwrap();
         for n in seed_witness.nodes() {
             big.graft(n, &noise);
             big.graft(n, &noise);
@@ -220,19 +284,20 @@ fn e6_witness_minimization() {
             big.live_count(),
             small.live_count()
         );
-        assert!(witness::witnesses_update_conflict(&r, &u, &small, Semantics::Node));
+        assert!(witness::witnesses_update_conflict(
+            &r,
+            &u,
+            &small,
+            Semantics::Node
+        ));
     }
     println!("\nExpected shape: minimized sizes far below |R|·|U|·(k+1).");
 }
 
 fn e7_witness_check() {
     println!("\n## E7 — Lemma 1: witness checking vs document size\n");
-    let parse = |s: &str| cxu::pattern::xpath::parse(s).unwrap();
     let r = Read::new(parse("s0//s1"));
-    let u = Update::Insert(Insert::new(
-        parse("s0/s2"),
-        cxu::tree::text::parse("s1").unwrap(),
-    ));
+    let u = Update::Insert(Insert::new(parse("s0/s2"), term("s1")));
     println!("| |t| | node | tree | value |");
     println!("|---|---|---|---|");
     for n in [100usize, 1_000, 10_000] {
@@ -240,8 +305,8 @@ fn e7_witness_check() {
         let row: Vec<String> = Semantics::ALL
             .iter()
             .map(|&sem| {
-                fmt_dur(time(5, || {
-                    let _ = witness::witnesses_update_conflict(&r, &u, &t, sem);
+                fmt_ns(median_ns(5, 1, || {
+                    witness::witnesses_update_conflict(&r, &u, &t, sem)
                 }))
             })
             .collect();
@@ -255,28 +320,28 @@ fn e8_eval() {
     // A wildcard chain has Θ(n·depth²)-many embeddings on deep documents:
     // the naive enumerator materializes all of them, the two-pass engine
     // only the candidate sets.
-    let p = cxu::pattern::xpath::parse("*//*//*//*").unwrap();
+    let p = parse("*//*//*//*");
     println!("| |t| | two-pass | naive enumeration | embeddings |");
     println!("|---|---|---|---|");
     for n in [50usize, 100, 200, 400] {
-        let mut rng = SmallRng::seed_from_u64(42);
         let t = random_tree(
-            &mut rng,
-            &TreeParams { nodes: n, alphabet: 3, deep_bias: 0.8, ..Default::default() },
+            &mut SplitMix64::seed_from_u64(42),
+            &TreeParams {
+                nodes: n,
+                alphabet: 3,
+                deep_bias: 0.8,
+                ..TreeParams::default()
+            },
         );
-        let t_fast = time(5, || {
-            let _ = eval::eval(&p, &t);
-        });
+        let t_fast = median_ns(5, 1, || eval::eval(&p, &t));
         let (t_naive, count) = if n <= 200 {
             let count = embed::enumerate(&p, &t, usize::MAX).len();
-            let d = time(3, || {
-                let _ = embed::eval_naive(&p, &t);
-            });
-            (fmt_dur(d), count.to_string())
+            let ns = median_ns(3, 1, || embed::eval_naive(&p, &t));
+            (fmt_ns(ns), count.to_string())
         } else {
             ("(skipped)".into(), "—".into())
         };
-        println!("| {n} | {} | {t_naive} | {count} |", fmt_dur(t_fast));
+        println!("| {n} | {} | {t_naive} | {count} |", fmt_ns(t_fast));
     }
     println!("\nExpected shape: two-pass stays near-linear; naive grows with the");
     println!("embedding count (superlinear on deep documents).");
@@ -290,11 +355,15 @@ fn e9_optimizer() {
         let mut total = 0usize;
         let mut indep = 0usize;
         for seed in 0..50u64 {
-            let mut rng = SmallRng::seed_from_u64(seed);
+            let mut rng = SplitMix64::seed_from_u64(seed);
             let prog = random_program(&mut rng, &ProgramParams::default());
             for (ui, ri) in motion_candidates(&prog) {
-                let Stmt::Update(u) = &prog.stmts[ui] else { unreachable!() };
-                let Stmt::Read(r) = &prog.stmts[ri] else { unreachable!() };
+                let Stmt::Update(u) = &prog.stmts[ui] else {
+                    unreachable!()
+                };
+                let Stmt::Read(r) = &prog.stmts[ri] else {
+                    unreachable!()
+                };
                 total += 1;
                 if detect::independent(r, u, sem).unwrap() {
                     indep += 1;
@@ -309,18 +378,26 @@ fn e9_optimizer() {
     // Observational spot check (tree semantics, adjacent pairs).
     let mut verified = 0usize;
     for seed in 0..10u64 {
-        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut rng = SplitMix64::seed_from_u64(seed);
         let prog = random_program(&mut rng, &ProgramParams::default());
         let doc = random_tree(
-            &mut SmallRng::seed_from_u64(seed ^ 0xabc),
-            &TreeParams { nodes: 60, alphabet: 3, ..Default::default() },
+            &mut SplitMix64::seed_from_u64(seed ^ 0xabc),
+            &TreeParams {
+                nodes: 60,
+                alphabet: 3,
+                ..TreeParams::default()
+            },
         );
         for (ui, ri) in motion_candidates(&prog) {
             if ri != ui + 1 {
                 continue;
             }
-            let Stmt::Update(u) = &prog.stmts[ui] else { unreachable!() };
-            let Stmt::Read(r) = &prog.stmts[ri] else { unreachable!() };
+            let Stmt::Update(u) = &prog.stmts[ui] else {
+                unreachable!()
+            };
+            let Stmt::Read(r) = &prog.stmts[ri] else {
+                unreachable!()
+            };
             if detect::independent(r, u, Semantics::Tree).unwrap() {
                 let mut stmts = prog.stmts.clone();
                 stmts.swap(ui, ri);
@@ -337,39 +414,24 @@ fn e9_optimizer() {
 
 fn e10_update_update() {
     println!("\n## E10 — §6 update-update commutativity (value semantics)\n");
-    let parse = |s: &str| cxu::pattern::xpath::parse(s).unwrap();
-    let cases: Vec<(&str, Update, Update)> = vec![
-        (
-            "identical inserts",
-            Update::Insert(Insert::new(parse("a/b"), cxu::tree::text::parse("x").unwrap())),
-            Update::Insert(Insert::new(parse("a/b"), cxu::tree::text::parse("x").unwrap())),
-        ),
-        (
-            "insert enables insert",
-            Update::Insert(Insert::new(parse("a/b"), cxu::tree::text::parse("c").unwrap())),
-            Update::Insert(Insert::new(parse("a/b/c"), cxu::tree::text::parse("q").unwrap())),
-        ),
-        (
-            "delete vs insert inside",
-            Update::Delete(Delete::new(parse("a/b/x")).unwrap()),
-            Update::Insert(Insert::new(parse("a/b"), cxu::tree::text::parse("x").unwrap())),
-        ),
-        (
-            "disjoint",
-            Update::Insert(Insert::new(parse("a/b"), cxu::tree::text::parse("x").unwrap())),
-            Update::Delete(Delete::new(parse("a/c")).unwrap()),
-        ),
+    let ins = |i: &str, x: &str| Update::Insert(Insert::new(parse(i), term(x)));
+    let del = |d: &str| Update::Delete(Delete::new(parse(d)).unwrap());
+    let cases = [
+        ("identical inserts", ins("a/b", "x"), ins("a/b", "x")),
+        ("insert enables insert", ins("a/b", "c"), ins("a/b/c", "q")),
+        ("delete vs insert inside", del("a/b/x"), ins("a/b", "x")),
+        ("disjoint", ins("a/b", "x"), del("a/c")),
     ];
     println!("| pair | outcome (bound 5 nodes) |");
     println!("|---|---|");
     for (name, u1, u2) in cases {
-        let out = update_update::find_noncommuting_witness(&u1, &u2, Default::default());
-        let verdict = match out {
+        let verdict = match update_update::find_noncommuting_witness(&u1, &u2, Default::default()) {
             update_update::Outcome::Conflict(w) => {
                 format!("conflict (witness {} nodes)", w.live_count())
             }
             update_update::Outcome::NoConflictWithin(n) => format!("commute (≤ {n} nodes)"),
             update_update::Outcome::BudgetExceeded(_) => "undecided".into(),
+            update_update::Outcome::DeadlineExceeded => "timed out".into(),
         };
         println!("| {name} | {verdict} |");
     }
@@ -377,10 +439,32 @@ fn e10_update_update() {
     println!("and delete-inside pairs conflict; disjoint pairs commute.");
 }
 
+fn e10b_matcher_ablation() {
+    println!("\n## E10b — matching ablation: all-prefixes DP vs per-edge NFA\n");
+    println!("| |R| | prefix DP | per-edge NFA |");
+    println!("|---|---|---|");
+    for n in [8usize, 32, 128, 512] {
+        let u = sized_linear_pattern(n, 1);
+        let r = sized_linear_pattern(n, 0);
+        let t_dp = median_ns(5, 1, || {
+            let pm = matching::PrefixMatcher::new(&u, &r);
+            pm.weak(pm.read_len())
+        });
+        let t_nfa = median_ns(3, 1, || {
+            let k = matching::spine_nodes(&r).len();
+            for j in 1..=k {
+                let prefix = matching::read_prefix(&r, j);
+                std::hint::black_box(matching::match_weak(&u, &prefix));
+            }
+        });
+        println!("| {n} | {} | {} |", fmt_ns(t_dp), fmt_ns(t_nfa));
+    }
+    println!("\nExpected shape: DP ~one pass (quadratic total); per-edge ~cubic.");
+}
+
 fn e11_schema() {
     println!("\n## E11 — §6 schema-aware refinement\n");
     use cxu::schema::{ChildSpec, Dtd, SchemaSearchOutcome};
-    let parse = |s: &str| cxu::pattern::xpath::parse(s).unwrap();
     let dtd = Dtd::new("inventory")
         .element("inventory", vec![ChildSpec::star("book")])
         .element(
@@ -392,55 +476,40 @@ fn e11_schema() {
             ],
         );
     let cases = [
-        ("read inv//restock vs insert under book/promo", "inventory//restock", "inventory/book/promo"),
-        ("read inv//restock vs insert under book", "inventory//restock", "inventory/book"),
+        (
+            "read inv//restock vs insert under book/promo",
+            "inventory//restock",
+            "inventory/book/promo",
+        ),
+        (
+            "read inv//restock vs insert under book",
+            "inventory//restock",
+            "inventory/book",
+        ),
     ];
     println!("| pair | over all trees | over conforming trees |");
     println!("|---|---|---|");
     for (name, r_src, i_src) in cases {
         let r = Read::new(parse(r_src));
-        let u = Update::Insert(Insert::new(
-            parse(i_src),
-            cxu::tree::text::parse("restock").unwrap(),
-        ));
+        let u = Update::Insert(Insert::new(parse(i_src), term("restock")));
         let unconstrained = detect::read_update_conflict(&r, &u, Semantics::Node).unwrap();
-        let constrained = match cxu::schema::find_witness_conforming(
-            &r, &u, Semantics::Node, &dtd, 7, 200_000,
-        ) {
-            SchemaSearchOutcome::Conflict(_) => "conflict",
-            SchemaSearchOutcome::NoConflictWithin(_) => "independent",
-            SchemaSearchOutcome::BudgetExceeded => "undecided",
-            SchemaSearchOutcome::DeadlineExceeded => "timed out",
-        };
+        let constrained =
+            match cxu::schema::find_witness_conforming(&r, &u, Semantics::Node, &dtd, 7, 200_000) {
+                SchemaSearchOutcome::Conflict(_) => "conflict",
+                SchemaSearchOutcome::NoConflictWithin(_) => "independent",
+                SchemaSearchOutcome::BudgetExceeded => "undecided",
+                SchemaSearchOutcome::DeadlineExceeded => "timed out",
+            };
         println!(
             "| {name} | {} | {constrained} |",
-            if unconstrained { "conflict" } else { "independent" }
+            if unconstrained {
+                "conflict"
+            } else {
+                "independent"
+            }
         );
     }
     println!("\nExpected: the schema kills the <promo> conflict, keeps the real one.");
-}
-
-fn e10b_matcher_ablation() {
-    println!("\n## E10b — matching ablation: all-prefixes DP vs per-edge NFA\n");
-    println!("| |R| | prefix DP | per-edge NFA |");
-    println!("|---|---|---|");
-    for n in [8usize, 32, 128, 512] {
-        let u = sized_linear_pattern(n, 1);
-        let r = sized_linear_pattern(n, 0);
-        let t_dp = time(5, || {
-            let pm = matching::PrefixMatcher::new(&u, &r);
-            let _ = pm.weak(pm.read_len());
-        });
-        let t_nfa = time(3, || {
-            let k = matching::spine_nodes(&r).len();
-            for j in 1..=k {
-                let prefix = matching::read_prefix(&r, j);
-                let _ = matching::match_weak(&u, &prefix);
-            }
-        });
-        println!("| {n} | {} | {} |", fmt_dur(t_dp), fmt_dur(t_nfa));
-    }
-    println!("\nExpected shape: DP ~one pass (quadratic total); per-edge ~cubic.");
 }
 
 fn e12_construct() {
@@ -450,19 +519,19 @@ fn e12_construct() {
     println!("|---|---|---|---|");
     for n in [8usize, 32, 128, 512] {
         let (r, i) = sized_conflicting_insert_instance(n);
-        let t_detect = time(9, || {
-            let _ = detect::read_insert_conflict(&r, &i, Semantics::Node).unwrap();
+        let t_detect = median_ns(9, 1, || {
+            detect::read_insert_conflict(&r, &i, Semantics::Node).unwrap()
         });
         let mut size = String::from("—");
-        let t_construct = time(5, || {
+        let t_construct = median_ns(5, 1, || {
             if let Some(w) = construct::construct_insert_witness(&r, &i) {
                 size = w.live_count().to_string();
             }
         });
         println!(
             "| {n} | {} | {} | {size} |",
-            fmt_dur(t_detect),
-            fmt_dur(t_construct)
+            fmt_ns(t_detect),
+            fmt_ns(t_construct)
         );
     }
     println!("\nExpected shape: construction stays polynomial; every returned");
@@ -475,21 +544,17 @@ fn e13_minimization() {
     // Random patterns with deliberately duplicated branches.
     let mut total_before = 0usize;
     let mut total_after = 0usize;
-    let mut cases = 0usize;
-    for seed in 0..40u64 {
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let base = cxu::gen::patterns::random_pattern(
-            &mut rng,
-            &cxu::gen::patterns::PatternParams {
-                nodes: 4,
-                alphabet: 2,
-                branch_rate: 0.5,
-                wildcard_rate: 0.1,
-                ..Default::default()
-            },
-        );
+    let cases = 40usize;
+    let params = PatternParams {
+        nodes: 4,
+        alphabet: 2,
+        branch_rate: 0.5,
+        wildcard_rate: 0.1,
+        ..PatternParams::default()
+    };
+    for seed in 0..cases as u64 {
+        let mut p = random_pattern(&mut SplitMix64::seed_from_u64(seed), &params);
         // Duplicate one branch to inject redundancy.
-        let mut p = base.clone();
         let spine = p.path(p.root(), p.output()).unwrap();
         let branch = p.node_ids().find(|n| !spine.contains(n));
         if let Some(b) = branch {
@@ -500,7 +565,6 @@ fn e13_minimization() {
         let m = minimize(&p, 1 << 14);
         total_before += p.len();
         total_after += m.len();
-        cases += 1;
     }
     println!("| metric | value |");
     println!("|---|---|");
@@ -511,13 +575,10 @@ fn e13_minimization() {
         total_after as f64 / cases as f64
     );
     // Effect on the NP-side search: Lemma 11 bound shrinks with |U|.
-    let parse = |s: &str| cxu::pattern::xpath::parse(s).unwrap();
     let r = Read::new(parse("s0[s1][s2]/s3"));
     let fat = parse("s0[s1][s1][s1[.//s1]]/s2");
     let slim = minimize(&fat, 1 << 14);
-    let mk = |pat: &Pattern| {
-        Update::Insert(Insert::new(pat.clone(), cxu::tree::text::parse("s3").unwrap()))
-    };
+    let mk = |pat: &Pattern| Update::Insert(Insert::new(pat.clone(), term("s3")));
     println!(
         "| Lemma 11 bound, redundant update | {} |",
         cxu::core::brute::lemma11_bound(&r, &mk(&fat))
@@ -535,40 +596,40 @@ fn e13_minimization() {
 fn e14_incremental() {
     println!("\n## E14 — incremental read maintenance vs full re-evaluation\n");
     use cxu::core::incremental::IncrementalRead;
-    let parse = |s: &str| cxu::pattern::xpath::parse(s).unwrap();
-    println!("| |t| | full re-eval | incremental maintenance |");
-    println!("|---|---|---|");
+    println!("| |t| | insertion points | full re-eval | incremental maintenance |");
+    println!("|---|---|---|---|");
     for n in [1_000usize, 10_000, 100_000] {
         let base = sized_document(n, 21);
         let read = Read::new(parse("s0//s1/s2"));
-        let ins = Insert::new(parse("s0/s1"), cxu::tree::text::parse("s2").unwrap());
+        let ins = Insert::new(parse("s0/s1"), term("s2"));
         // Full path: evaluate from scratch on the updated document.
-        let updated = {
-            let mut t = base.clone();
-            ins.apply(&mut t);
-            t
-        };
-        let t_full = time(5, || {
-            std::hint::black_box(read.eval(&updated).len());
-        });
+        let mut updated = base.clone();
+        ins.apply(&mut updated);
+        let t_full = median_ns(5, 1, || read.eval(&updated).len());
         // Incremental path: the update is applied either way (finding its
         // points is the update's own cost); time only the maintenance of
         // the cached read result.
-        let t_maintain = {
-            let mut samples = Vec::new();
-            for _ in 0..5 {
-                let mut t = base.clone();
-                let mut inc = IncrementalRead::new(read.clone(), &t).unwrap();
-                let pairs = ins.apply_indexed(&mut t);
-                let t0 = std::time::Instant::now();
-                inc.note_insert(&t, &pairs);
-                samples.push(t0.elapsed());
-                std::hint::black_box(inc.result().len());
-            }
-            samples.sort_unstable();
-            samples[samples.len() / 2]
-        };
-        println!("| {n} | {} | {} |", fmt_dur(t_full), fmt_dur(t_maintain));
+        let mut points = 0;
+        let t_maintain = median(
+            (0..5)
+                .map(|_| {
+                    let mut t = base.clone();
+                    let mut inc = IncrementalRead::new(read.clone(), &t).unwrap();
+                    let pairs = ins.apply_indexed(&mut t);
+                    points = pairs.len();
+                    let t0 = Instant::now();
+                    inc.note_insert(&t, &pairs);
+                    let ns = t0.elapsed().as_nanos() as f64;
+                    std::hint::black_box(inc.result().len());
+                    ns
+                })
+                .collect(),
+        );
+        println!(
+            "| {n} | {points} | {} | {} |",
+            fmt_ns(t_full),
+            fmt_ns(t_maintain)
+        );
     }
     println!("\nExpected shape: full re-evaluation grows with |t|; incremental");
     println!("maintenance is proportional to the update (paths + copies), not |t|.");
@@ -577,7 +638,6 @@ fn e14_incremental() {
 fn e15_program_analysis() {
     println!("\n## E15 — whole-program analysis (§1 compiler, assembled)\n");
     use cxu::gen::analysis::{conflict_matrix, cse_pairs, eliminate_common_reads, hoistable};
-    use cxu::gen::program::{random_program, ProgramParams};
     let mut pairs = 0usize;
     let mut indep = 0usize;
     let mut hoists = 0usize;
@@ -585,7 +645,7 @@ fn e15_program_analysis() {
     let mut eliminated = 0usize;
     let programs = 60usize;
     for seed in 0..programs as u64 {
-        let mut rng = SmallRng::seed_from_u64(seed ^ 0xe15);
+        let mut rng = SplitMix64::seed_from_u64(seed ^ 0xe15);
         let prog = random_program(&mut rng, &ProgramParams::default());
         let m = conflict_matrix(&prog, Semantics::Tree);
         pairs += m.len();
@@ -608,12 +668,13 @@ fn e15_program_analysis() {
     println!("reorderable/reusable — the paper's motivation quantified.");
 }
 
-fn main() {
+/// Prints the whole report; panics (a nonzero exit) on a failed check.
+pub fn run() {
     println!("# Conflicting XML Updates — experiment report");
     println!("\n(Each section regenerates one table of EXPERIMENTS.md; shapes,");
     println!("not absolute numbers, are the reproduction target.)");
-    e3_e4_linear_scaling();
-    e4_crossover();
+    e4a_linear_scaling();
+    e4b_crossover();
     e5_reduction();
     e6_witness_minimization();
     e7_witness_check();
@@ -627,4 +688,55 @@ fn main() {
     e15_program_analysis();
     e11_schema();
     println!("\nDone.");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn sized_patterns_have_exact_size() {
+        for n in [1, 2, 10, 100] {
+            assert_eq!(sized_linear_pattern(n, 0).len(), n);
+            assert!(sized_linear_pattern(n, 0).is_linear());
+        }
+    }
+
+    #[test]
+    fn instances_wellformed() {
+        let (r, i) = sized_insert_instance(12);
+        assert!(r.pattern().is_linear());
+        assert_eq!(i.pattern().len(), 12);
+        let (_, d) = sized_delete_instance(12);
+        assert_ne!(d.pattern().output(), d.pattern().root());
+    }
+
+    #[test]
+    fn conflicting_instance_conflicts() {
+        for n in [2usize, 8, 33] {
+            let (r, i) = sized_conflicting_insert_instance(n);
+            assert!(
+                detect::read_insert_conflict(&r, &i, Semantics::Node).unwrap(),
+                "size {n}"
+            );
+        }
+    }
+
+    #[test]
+    fn desc_edge_count() {
+        let p = pattern_with_desc_edges(8, 3);
+        let descs = p
+            .node_ids()
+            .filter(|&n| p.axis(n) == Some(Axis::Descendant))
+            .count();
+        assert_eq!(descs, 3);
+        assert_eq!(p.len(), 8);
+    }
+
+    #[test]
+    fn documents_match_pattern_alphabet() {
+        let t = sized_document(100, 1);
+        let labels: Vec<&str> = t.alphabet().iter().map(|s| s.as_str()).collect();
+        assert!(labels.iter().all(|l| l.starts_with('s')));
+    }
 }

@@ -40,12 +40,10 @@ USAGE:
               [--deadline-ms MS] [--data-dir DIR] [--fsync always|interval|never]
               [--fsync-interval-ms MS] [--snapshot-every N]
               [--read-timeout-ms MS] [--max-line-bytes N]
-  cxu loadgen --addr A [--connections N] [--duration-ms MS] [--requests N]
-              [--seed N] [--profile linear|mixed|store|grounded|txn]
-              [--semantics S] [--deadline-ms MS] [--delay-ms MS] [--docs N]
-              [--retries N] [--backoff-ms MS] [--pipeline W]
-              [--rate RPS] [--sweep R1,R2,…]
+  cxu loadgen --addr A [--connections N] [--duration-ms MS] [--seed N]
+              [--profile linear|store|txn] [--delay-ms MS]
               [--validate] [--out FILE]
+              linear: [--pipeline W] [--sweep R1,R2,…]   store|txn: [--docs N]
   cxu txn     --file <file|-> (--addr A | [--data-dir DIR]) [--semantics S]
   cxu crashtest --data-dir DIR [--cycles N] [--editors N] [--txn-editors N]
               [--docs N] [--seed N]
@@ -61,18 +59,14 @@ USAGE:
   --metrics M       append the run's metrics delta (counters + latency
                     histograms) as text, or embed it as a \"metrics\"
                     object when --format json
-  --trace PATH      write JSONL span/event tracing to PATH (any command)
+  --trace PATH      write JSONL span/event tracing to PATH (any command;
+                    every other flag a command does not read is refused)
   --gen-seed N      generate the batch from a seeded PRNG instead of
                     --program (deterministic; used by the CI smoke job)
   --profile store   loadgen races concurrent editors over shared
                     documents via doc_put (stale bases auto-merge when
                     the detectors prove commutation); --docs sets how
                     many documents the editors share (default 4)
-  --profile grounded  loadgen seeds documents via doc_put and then
-                    streams doc_check requests (document-grounded
-                    conflict checks against the server's cached
-                    structural index); --validate replays every
-                    verdict through the in-process tree walk
   --profile txn     loadgen races atomic multi-op transactions (the
                     one-shot txn route) over shared documents, guarded
                     at each editor's last-seen winners; reports commit /
@@ -95,25 +89,22 @@ USAGE:
                     only after the record is durable per --fsync
                     (always = fsync per record, interval = periodic,
                     never = OS-buffered)
-  --retries N       loadgen resends overloaded/transport-failed requests
-                    up to N times with jittered exponential backoff
-                    starting at --backoff-ms (safe because doc_put
-                    replay is idempotent)
   --shards N        serve runs N shards, each owning a slice of the memo
                     cache and one worker; requests route to shards by a
                     deterministic hash of their operations' shapes
                     (--workers is accepted as an alias)
   --pipeline-depth N  serve reads at most N pipelined requests per
                     connection before backpressuring the socket
+  --profile linear  loadgen (the default) fires check requests over a
+                    seeded pool of linear patterns; --validate re-checks
+                    every exact verdict against an in-process scheduler
   --pipeline W      loadgen keeps W requests in flight per connection
                     (one batched write per window; closed loop)
-  --rate RPS        loadgen open-loop mode: send on a fixed arrival
-                    schedule at RPS req/s total and report latency both
-                    raw and coordinated-omission-corrected (from each
-                    request's intended arrival time)
-  --sweep R1,R2,…   after the main run, sweep open-loop rate points and
-                    attach a `sweep` array to the JSON report (the
-                    latency-under-load / saturation curve)
+  --sweep R1,R2,…   after the main run, rerun the workload open loop at
+                    each fixed arrival rate (req/s total) and attach a
+                    `sweep` array to the JSON report: the saturation
+                    curve, with latency both raw and coordinated-
+                    omission-corrected (from each intended arrival time)
   crashtest         SIGKILLs a real `cxu serve --data-dir` child at
                     seeded random points under editor load, restarts it,
                     and fails on any acked-but-lost write, phantom
@@ -154,6 +145,9 @@ const BOOL_FLAGS: &[&str] = &["minimize", "validate", "index"];
 struct Args {
     flags: Vec<(String, String)>,
     bools: Vec<String>,
+    /// Every flag name a command has looked up, so [`Args::finish`] can
+    /// refuse the rest.
+    read: std::cell::RefCell<Vec<String>>,
 }
 
 impl Args {
@@ -179,10 +173,15 @@ impl Args {
                 return Err(format!("flag --{name} requires a value"));
             }
         }
-        Ok(Args { flags, bools })
+        Ok(Args {
+            flags,
+            bools,
+            read: Default::default(),
+        })
     }
 
     fn get(&self, name: &str) -> Option<&str> {
+        self.read.borrow_mut().push(name.to_owned());
         self.flags
             .iter()
             .find(|(n, _)| n == name)
@@ -194,7 +193,21 @@ impl Args {
     }
 
     fn has(&self, name: &str) -> bool {
+        self.read.borrow_mut().push(name.to_owned());
         self.bools.iter().any(|b| b == name)
+    }
+
+    /// Refuses any flag the command never looked up. Each command calls
+    /// it once, after reading its flags and before it binds, connects or
+    /// writes, so a mistyped or stale flag fails loudly instead of
+    /// silently running something else.
+    fn finish(&self, cmd: &str) -> Result<(), String> {
+        let read = self.read.borrow();
+        let mut names = self.flags.iter().map(|(n, _)| n).chain(&self.bools);
+        match names.find(|n| !read.contains(n)) {
+            Some(n) => Err(format!("cxu {cmd} does not take --{n} (see `cxu help`)")),
+            None => Ok(()),
+        }
     }
 }
 
@@ -265,11 +278,14 @@ fn cmd_check(args: &Args) -> Result<String, String> {
     let read = Read::new(parse_pattern(args.require("read")?)?);
     let update = parse_update(args)?;
     let sem = parse_semantics(args)?;
+    let doc_src = args.get("doc");
+    let index = doc_src.is_some() && args.has("index");
+    args.finish("check")?;
     // Document-grounded mode: "does the conflict manifest on THIS
     // document" (Lemma 1), rather than "could any document witness it".
-    if let Some(doc_src) = args.get("doc") {
+    if let Some(doc_src) = doc_src {
         let doc = parse_doc(doc_src)?;
-        let (conflict, engine) = if args.has("index") {
+        let (conflict, engine) = if index {
             let idx = cxu::index::DocIndex::from_tree(&doc);
             (
                 cxu::index::detect_grounded(&read, &update, &doc, &idx, sem),
@@ -341,6 +357,8 @@ fn cmd_witness(args: &Args) -> Result<String, String> {
     let update = parse_update(args)?;
     let sem = parse_semantics(args)?;
     let doc = parse_doc(args.require("doc")?)?;
+    let minimize = args.has("minimize");
+    args.finish("witness")?;
     let is_witness = witness::witnesses_update_conflict(&read, &update, &doc, sem);
     let mut out = format!(
         "document {} a {:?}-semantics conflict",
@@ -351,7 +369,7 @@ fn cmd_witness(args: &Args) -> Result<String, String> {
         },
         sem
     );
-    if is_witness && args.has("minimize") {
+    if is_witness && minimize {
         if let Some(small) = witness_min::minimize(&read, &update, &doc, sem) {
             out.push_str(&format!(
                 "\nminimized witness ({} → {} nodes): {}",
@@ -367,6 +385,7 @@ fn cmd_witness(args: &Args) -> Result<String, String> {
 fn cmd_eval(args: &Args) -> Result<String, String> {
     let p = parse_pattern(args.require("pattern")?)?;
     let doc = parse_doc(args.require("doc")?)?;
+    args.finish("eval")?;
     let hits = eval::eval(&p, &doc);
     let mut out = format!("{} node(s) selected", hits.len());
     for n in hits {
@@ -378,6 +397,7 @@ fn cmd_eval(args: &Args) -> Result<String, String> {
 fn cmd_contain(args: &Args) -> Result<String, String> {
     let p = parse_pattern(args.require("sub")?)?;
     let q = parse_pattern(args.require("sup")?)?;
+    args.finish("contain")?;
     match containment::contains_within(&p, &q, 1 << 22) {
         Some(true) => Ok(format!("{p}  ⊆  {q}")),
         Some(false) => {
@@ -391,14 +411,20 @@ fn cmd_contain(args: &Args) -> Result<String, String> {
 }
 
 fn cmd_dot(args: &Args) -> Result<String, String> {
-    if let Some(src) = args.get("pattern") {
-        let p = parse_pattern(src)?;
-        Ok(cxu::pattern::dot::pattern_to_dot(&p, "pattern"))
-    } else if let Some(src) = args.get("doc") {
-        let t = parse_doc(src)?;
-        Ok(cxu::pattern::dot::tree_to_dot(&t, "doc"))
+    let pattern = args.get("pattern");
+    let doc = if pattern.is_none() {
+        args.get("doc")
     } else {
-        Err("dot needs --pattern <xpath> or --doc <D>".into())
+        None
+    };
+    args.finish("dot")?;
+    match (pattern, doc) {
+        (Some(src), _) => Ok(cxu::pattern::dot::pattern_to_dot(
+            &parse_pattern(src)?,
+            "pattern",
+        )),
+        (None, Some(src)) => Ok(cxu::pattern::dot::tree_to_dot(&parse_doc(src)?, "doc")),
+        (None, None) => Err("dot needs --pattern <xpath> or --doc <D>".into()),
     }
 }
 
@@ -456,6 +482,7 @@ fn cmd_analyze(args: &Args) -> Result<String, String> {
     use cxu::gen::program::Stmt;
 
     let program = load_program(args)?;
+    args.finish("analyze")?;
 
     let mut out = String::from("program:\n");
     for (i, line) in to_source(&program).lines().enumerate() {
@@ -531,13 +558,15 @@ fn cmd_schedule(args: &Args) -> Result<String, String> {
         Some(m @ ("text" | "json")) => Some(m),
         Some(other) => return Err(format!("unknown --metrics '{other}' (text|json)")),
     };
+    let format = args.get("format").unwrap_or("text");
+    args.finish("schedule")?;
     let before = cxu::obs::registry().snapshot();
     let out = Scheduler::new(cfg).run(&ops);
     let delta = cxu::obs::registry().snapshot().delta(&before);
 
     let detector_name = |d: Detector| d.name();
 
-    let result = match args.get("format").unwrap_or("text") {
+    let result = match format {
         "text" => {
             let mut s = String::from("ops:\n");
             for (i, op) in ops.iter().enumerate() {
@@ -641,7 +670,7 @@ fn cmd_schedule(args: &Args) -> Result<String, String> {
         Some("text") => {
             result.push_str(&format!("\n\nmetrics (delta for this run):\n{delta}"));
         }
-        Some("json") if args.get("format").unwrap_or("text") != "json" => {
+        Some("json") if format != "json" => {
             result.push_str(&format!("\n{}", delta.to_json()));
         }
         _ => {}
@@ -809,6 +838,7 @@ fn cmd_serve(args: &Args) -> Result<String, String> {
         cfg.default_deadline = Some(std::time::Duration::from_millis(ms));
     }
     let addr = args.get("addr").unwrap_or("127.0.0.1:7878");
+    args.finish("serve")?;
     let server = Server::bind(cfg, addr).map_err(|e| format!("cannot bind {addr}: {e}"))?;
     let local = server.local_addr().map_err(|e| e.to_string())?;
 
@@ -846,11 +876,6 @@ fn cmd_loadgen(args: &Args) -> Result<String, String> {
         validate: args.has("validate"),
         ..LoadConfig::default()
     };
-    if args.get("semantics").is_some() {
-        cfg.semantics = parse_semantics(args)?;
-    } else {
-        cfg.semantics = Semantics::Value;
-    }
     if let Some(c) = args.get("connections") {
         cfg.connections = c
             .parse::<usize>()
@@ -868,14 +893,6 @@ fn cmd_loadgen(args: &Args) -> Result<String, String> {
             })?;
         cfg.duration = std::time::Duration::from_millis(ms);
     }
-    if let Some(r) = args.get("requests") {
-        cfg.requests_per_conn = Some(
-            r.parse::<u64>()
-                .ok()
-                .filter(|&r| r >= 1)
-                .ok_or_else(|| format!("bad --requests '{r}' (want a positive integer)"))?,
-        );
-    }
     if let Some(s) = args.get("seed") {
         cfg.seed = s
             .parse::<u64>()
@@ -884,79 +901,41 @@ fn cmd_loadgen(args: &Args) -> Result<String, String> {
     if let Some(p) = args.get("profile") {
         cfg.profile = LoadProfile::from_name(p)?;
     }
-    if let Some(ms) = args.get("deadline-ms") {
-        cfg.deadline_ms = Some(
-            ms.parse::<u64>()
-                .ok()
-                .filter(|&ms| ms >= 1)
-                .ok_or_else(|| {
-                    format!("bad --deadline-ms '{ms}' (want a positive number of milliseconds)")
-                })?,
-        );
-    }
     if let Some(ms) = args.get("delay-ms") {
         cfg.delay_ms = ms
             .parse::<u64>()
             .map_err(|_| format!("bad --delay-ms '{ms}' (want milliseconds)"))?;
     }
-    if let Some(n) = args.get("pool-len") {
-        cfg.pool_len = n
-            .parse::<usize>()
-            .ok()
-            .filter(|&n| n >= 2)
-            .ok_or_else(|| format!("bad --pool-len '{n}' (want an integer >= 2)"))?;
-    }
-    if let Some(n) = args.get("docs") {
+    // --pipeline and --sweep shape the linear profile's `check` traffic,
+    // --docs the editor profiles' shared documents; each profile leaves
+    // the others' flags unread, so `finish` refuses them.
+    let mut sweep: Vec<f64> = Vec::new();
+    if cfg.profile == LoadProfile::Linear {
+        if let Some(w) = args.get("pipeline") {
+            cfg.pipeline = w
+                .parse::<usize>()
+                .ok()
+                .filter(|&w| w >= 1)
+                .ok_or_else(|| format!("bad --pipeline '{w}' (want a positive integer)"))?;
+        }
+        if let Some(s) = args.get("sweep") {
+            sweep = s
+                .split(',')
+                .map(|t| t.trim().parse::<f64>().ok().filter(|&r| r >= 1.0))
+                .collect::<Option<_>>()
+                .ok_or_else(|| {
+                    format!("bad --sweep '{s}' (want comma-separated rates in req/s)")
+                })?;
+        }
+    } else if let Some(n) = args.get("docs") {
         cfg.docs = n
             .parse::<usize>()
             .ok()
             .filter(|&n| n >= 1)
             .ok_or_else(|| format!("bad --docs '{n}' (want a positive integer)"))?;
     }
-    if let Some(n) = args.get("retries") {
-        cfg.retries = n
-            .parse::<u32>()
-            .map_err(|_| format!("bad --retries '{n}' (want an attempt count; 0 disables)"))?;
-    }
-    if let Some(ms) = args.get("backoff-ms") {
-        cfg.backoff_ms = ms
-            .parse::<u64>()
-            .ok()
-            .filter(|&ms| ms >= 1)
-            .ok_or_else(|| {
-                format!("bad --backoff-ms '{ms}' (want a positive number of milliseconds)")
-            })?;
-    }
-    if let Some(w) = args.get("pipeline") {
-        cfg.pipeline = w
-            .parse::<usize>()
-            .ok()
-            .filter(|&w| w >= 1)
-            .ok_or_else(|| format!("bad --pipeline '{w}' (want a positive integer)"))?;
-    }
-    if let Some(r) = args.get("rate") {
-        cfg.rate = Some(
-            r.parse::<f64>()
-                .ok()
-                .filter(|&r| r >= 1.0)
-                .ok_or_else(|| format!("bad --rate '{r}' (want requests per second >= 1)"))?,
-        );
-    }
-    let sweep: Vec<f64> = match args.get("sweep") {
-        Some(s) => s
-            .split(',')
-            .map(|t| {
-                t.trim()
-                    .parse::<f64>()
-                    .ok()
-                    .filter(|&r| r >= 1.0)
-                    .ok_or_else(|| {
-                        format!("bad --sweep '{s}' (want comma-separated rates in req/s)")
-                    })
-            })
-            .collect::<Result<_, _>>()?,
-        None => Vec::new(),
-    };
+    let out_path = args.get("out");
+    args.finish(&format!("loadgen --profile {}", cfg.profile.name()))?;
 
     let report = loadgen::run(&cfg)?;
     let json = if sweep.is_empty() {
@@ -973,12 +952,12 @@ fn cmd_loadgen(args: &Args) -> Result<String, String> {
         }
         loadgen::sweep_to_json(&report, &points)
     };
-    let out = if let Some(path) = args.get("out") {
+    let out = if let Some(path) = out_path {
         std::fs::write(path, format!("{json}\n"))
             .map_err(|e| format!("cannot write {path}: {e}"))?;
         let mut summary = format!(
             "wrote {path}\nsent {} | completed {} ({:.0} req/s) | overloaded {} ({:.1}%) \
-             | failed {} | retries {}\nlatency p50 {} us, p99 {} us, max {} us\
+             | failed {}\nlatency p50 {} us, p99 {} us, max {} us\
              \nvalidated {} distinct pair(s)",
             report.sent,
             report.completed,
@@ -986,22 +965,15 @@ fn cmd_loadgen(args: &Args) -> Result<String, String> {
             report.overloaded,
             100.0 * report.rejection_rate(),
             report.failed,
-            report.retries,
             report.p50_us,
             report.p99_us,
             report.max_us,
             report.checked_pairs,
         );
-        if report.open_loop_rate.is_some() {
-            summary.push_str(&format!(
-                "\ncorrected (from intended arrival): p50 {} us, p99 {} us, max {} us",
-                report.corrected_p50_us, report.corrected_p99_us, report.corrected_max_us
-            ));
-        }
         if !sweep.is_empty() {
             summary.push_str(&format!("\nsweep: {} rate point(s) attached", sweep.len()));
         }
-        if report.profile == "store" {
+        if cfg.profile == LoadProfile::Store {
             let s = &report.store;
             summary.push_str(&format!(
                 "\nstore: created {} | applied {} | merged {} | branched {} \
@@ -1009,7 +981,7 @@ fn cmd_loadgen(args: &Args) -> Result<String, String> {
                 s.created, s.applied, s.merged, s.branched, s.rejected, s.noop
             ));
         }
-        if report.profile == "txn" {
+        if cfg.profile == LoadProfile::Txn {
             let t = &report.txn;
             summary.push_str(&format!(
                 "\ntxn: applied {} | replayed {} | conflicted {} | rejected {} \
@@ -1083,6 +1055,17 @@ fn cmd_txn(args: &Args) -> Result<String, String> {
     use cxu::gen::json::Json;
 
     let spec = args.require("file")?;
+    let semantics = match args.get("semantics") {
+        Some(_) => Some(parse_semantics(args)?),
+        None => None,
+    };
+    let addr = args.get("addr");
+    let data_dir = if addr.is_none() {
+        args.get("data-dir")
+    } else {
+        None
+    };
+    args.finish("txn")?;
     let src = if spec == "-" {
         read_stdin()?
     } else {
@@ -1093,19 +1076,14 @@ fn cmd_txn(args: &Args) -> Result<String, String> {
     // Live server: wrap the program as a one-shot `txn` request and
     // send it over the socket — the same commit path the load
     // generator and the crash harness exercise.
-    if let Some(addr) = args.get("addr") {
+    if let Some(addr) = addr {
         let Json::Obj(mut members) = v else {
             return Err("transaction must be a JSON object with \"guards\" and \"ops\"".into());
         };
         members.retain(|(k, _)| k != "route" && k != "semantics");
         members.insert(0, ("route".to_owned(), Json::str("txn")));
-        if args.get("semantics").is_some() {
-            let sem = match parse_semantics(args)? {
-                Semantics::Node => "node",
-                Semantics::Tree => "tree",
-                Semantics::Value => "value",
-            };
-            members.push(("semantics".to_owned(), Json::str(sem)));
+        if let Some(sem) = semantics {
+            members.push(("semantics".to_owned(), Json::str(sem.name())));
         }
         let req = Json::Obj(members).to_string();
         use std::io::{BufRead as _, BufReader, Write as _};
@@ -1138,18 +1116,13 @@ fn cmd_txn(args: &Args) -> Result<String, String> {
         return Err("transaction has no ops".into());
     }
     let txn = cxu::txn::Txn::from_wire(&wire_txn).map_err(|e| format!("bad transaction: {e}"))?;
-    let store = match args.get("data-dir") {
+    let store = match data_dir {
         Some(dir) => Store::open(StoreConfig::default(), DurabilityConfig::new(dir))
             .map_err(|e| format!("cannot open store in {dir}: {e}"))?,
         None => Store::new(StoreConfig::default()),
     };
-    let semantics = if args.get("semantics").is_some() {
-        parse_semantics(args)?
-    } else {
-        Semantics::Value
-    };
     let mut sched = Scheduler::new(SchedConfig {
-        semantics,
+        semantics: semantics.unwrap_or(Semantics::Value),
         jobs: 1,
         ..SchedConfig::default()
     });
@@ -1237,9 +1210,12 @@ fn cmd_crashtest(args: &Args) -> Result<String, String> {
             })?;
     }
 
+    let out_path = args.get("out");
+    args.finish("crashtest")?;
+
     let report = crash::run(&cfg)?;
     let json = report.to_json();
-    if let Some(path) = args.get("out") {
+    if let Some(path) = out_path {
         std::fs::write(path, format!("{json}\n"))
             .map_err(|e| format!("cannot write {path}: {e}"))?;
     }

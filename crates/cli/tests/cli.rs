@@ -493,3 +493,51 @@ fn trace_writes_jsonl() {
         "{trace}"
     );
 }
+
+#[test]
+fn unread_flags_are_refused() {
+    let out = cxu(&[
+        "check",
+        "--read",
+        "a/b",
+        "--delete",
+        "a/b",
+        "--bogus-flag",
+        "1",
+    ]);
+    assert!(!out.status.success());
+    assert!(stderr(&out).contains("--bogus-flag"), "{}", stderr(&out));
+    // `check` has no deadline; the flag must not look like it bounds
+    // the NP-side search.
+    let out = cxu(&[
+        "check",
+        "--read",
+        "a[b]",
+        "--delete",
+        "a/b",
+        "--deadline-ms",
+        "5",
+    ]);
+    assert!(!out.status.success());
+    assert!(stderr(&out).contains("--deadline-ms"), "{}", stderr(&out));
+}
+
+#[test]
+fn loadgen_refuses_unread_flags_before_connecting() {
+    // Nothing listens on port 1: a refusal that names the flag, and no
+    // connection error, shows the flag was refused before any connect.
+    for extra in [
+        &["--retries", "1"][..],
+        &["--profile", "store", "--pipeline", "4"],
+        &["--docs", "3"],
+    ] {
+        let mut argv = vec!["loadgen", "--addr", "127.0.0.1:1"];
+        argv.extend_from_slice(extra);
+        let out = cxu(&argv);
+        assert!(!out.status.success(), "{argv:?}");
+        let e = stderr(&out);
+        let flag = extra.iter().rev().nth(1).unwrap();
+        assert!(e.contains(flag), "{argv:?}: {e}");
+        assert!(!e.contains("connect"), "{argv:?}: {e}");
+    }
+}

@@ -4,7 +4,7 @@
 //! processor runs *online*, before interleaving concurrent XML updates
 //! (§1, §3). This crate is that online layer: a long-running TCP
 //! server exposing the sched/runtime/obs stack to clients, plus the
-//! seeded closed-loop load generator that drives it.
+//! seeded load generator that drives it.
 //!
 //! Hermetic by construction: `std::net` + `std::thread` only — no
 //! tokio, no serde (the wire format is [`cxu_gen::json`]).

@@ -38,6 +38,14 @@ if ./target/release/cxu schedule --gen-seed 1 --deadline-ms 0 >/dev/null 2>&1; t
     echo "--deadline-ms 0 was accepted"; exit 1
 fi
 
+echo "==> experiment report (EXPERIMENTS.md E4a-E15; exits nonzero on a failed check)"
+exp_out=$(mktemp)
+./target/release/cxu-bench experiments > "$exp_out" \
+    || { echo "cxu-bench experiments failed"; cat "$exp_out"; exit 1; }
+grep -q 'agreement on 200 random pairs: 200/200' "$exp_out" \
+    || { echo "Theorem 4 agreement incomplete"; cat "$exp_out"; exit 1; }
+rm -f "$exp_out"
+
 echo "==> serve smoke (ephemeral port, seeded loadgen, validated verdicts)"
 serve_log=$(mktemp)
 serve_bench=$(mktemp)
@@ -153,21 +161,13 @@ grep -q '"disagreements": 0' "$serve_bench" \
     || { echo "store validation found feed/winner disagreements"; cat "$serve_bench"; exit 1; }
 grep -qE '"puts": [1-9]' "$serve_bench" \
     || { echo "store bench recorded no puts"; cat "$serve_bench"; exit 1; }
-# SIGTERM with puts still in flight: admitted work must drain, and the
-# editors must see clean connection closes, not hangs.
-./target/release/cxu loadgen --addr "$addr" --connections 6 --docs 3 \
-    --duration-ms 3000 --seed 8 --profile store >/dev/null 2>&1 &
-load_pid=$!
-sleep 0.5
 kill -TERM "$serve_pid"
 wait "$serve_pid" || { echo "store server exited nonzero after SIGTERM"; cat "$serve_log"; exit 1; }
-grep -q 'drained after' "$serve_log" \
-    || { echo "store server did not report a clean drain"; cat "$serve_log"; exit 1; }
-wait "$load_pid" || true
-rm -f "$serve_log" "$serve_bench"
-
-echo "==> grounded smoke (doc_check via the structural index, validated verdicts)"
-./target/release/cxu serve --addr 127.0.0.1:0 --shards 4 > "$serve_log" 2>&1 &
+# SIGTERM with puts still in flight: admitted work must drain, and the
+# editors must see clean connection closes, not hangs. A fresh server:
+# the editors create their documents, and against the ones left above
+# their setup puts are refused before any put is sent.
+./target/release/cxu serve --addr 127.0.0.1:0 --workers 4 > "$serve_log" 2>&1 &
 serve_pid=$!
 addr=""
 for _ in $(seq 1 50); do
@@ -176,22 +176,22 @@ for _ in $(seq 1 50); do
     sleep 0.1
 done
 [ -n "$addr" ] || { echo "server never announced its address"; cat "$serve_log"; exit 1; }
-# --validate replays every served doc_check verdict through the
-# in-process Lemma 1 tree walk after the run.
-./target/release/cxu loadgen --addr "$addr" --connections 4 --docs 4 \
-    --duration-ms 1200 --seed 9 --profile grounded --validate --out "$serve_bench" >/dev/null
-grep -q '"bench": "grounded"' "$serve_bench" \
-    || { echo "grounded bench missing its marker"; cat "$serve_bench"; exit 1; }
-grep -q '"disagreements": 0' "$serve_bench" \
-    || { echo "grounded validation found index-vs-walk disagreements"; cat "$serve_bench"; exit 1; }
-grep -q '"failed": 0' "$serve_bench" \
-    || { echo "grounded loadgen reported hard failures"; cat "$serve_bench"; exit 1; }
+./target/release/cxu loadgen --addr "$addr" --connections 6 --docs 3 \
+    --duration-ms 3000 --seed 8 --profile store >/dev/null 2>&1 &
+load_pid=$!
+sleep 0.5
 kill -TERM "$serve_pid"
-wait "$serve_pid" || { echo "grounded server exited nonzero after SIGTERM"; cat "$serve_log"; exit 1; }
-grep -q 'drained after' "$serve_log" \
-    || { echo "grounded server did not report a clean drain"; cat "$serve_log"; exit 1; }
+wait "$serve_pid" || { echo "store server exited nonzero after SIGTERM"; cat "$serve_log"; exit 1; }
+grep -qE 'drained after .* accepted [1-9]' "$serve_log" \
+    || { echo "store server did not drain a loaded run cleanly"; cat "$serve_log"; exit 1; }
+wait "$load_pid" || true
 rm -f "$serve_log" "$serve_bench"
-# The same engine in one process: index and tree walk must agree.
+
+echo "==> grounded checks (structural index vs tree walk: socket test, then CLI)"
+# doc_check over the socket against the in-process tree walk, on fixed
+# and seeded random pairs under all three semantics.
+cargo test -q -p cxu --test serve_validation doc_check
+# One process, two engines: the index and the tree walk must agree.
 idx_verdict=$(./target/release/cxu check --read 'x//C' --delete 'x/A' \
     --doc 'x(B(C E) A(B C))' --index)
 walk_verdict=$(./target/release/cxu check --read 'x//C' --delete 'x/A' \

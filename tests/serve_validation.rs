@@ -12,7 +12,8 @@
 use cxu::gen::json::Json;
 use cxu::gen::patterns::PatternParams;
 use cxu::gen::program::{random_program, Program, ProgramParams};
-use cxu::gen::rng::SplitMix64;
+use cxu::gen::rng::{Rng, SplitMix64};
+use cxu::gen::trees::{random_tree, TreeParams};
 use cxu::gen::wire;
 use cxu::prelude::Semantics;
 use cxu::sched::{ops_of_program, Deadline, Op, SchedConfig, Scheduler};
@@ -679,8 +680,10 @@ fn pipelined_window_drains_in_order_through_shutdown() {
 /// (k) The grounded `doc_check` route end to end: every verdict the
 /// server hands out over the socket agrees with the in-process Lemma 1
 /// witness check on the same stored document, across all three
-/// semantics; a missing document is a rejection (not an error); and
-/// repeated checks against the same winner reuse the cached index.
+/// semantics, for six fixed pairs and for 150 seeded random ones on a
+/// generated document; a missing document is a rejection (not an
+/// error); and repeated checks against the same winner reuse the cached
+/// index.
 #[test]
 fn doc_check_answers_grounded_verdicts_over_the_socket() {
     use cxu::gen::program::Stmt;
@@ -794,6 +797,71 @@ fn doc_check_answers_grounded_verdicts_over_the_socket() {
         "every check hit the cache after the first: {m}"
     );
     assert_eq!(grounded, hits + misses, "every check was index-grounded");
+
+    // Seeded random inputs: a generated document, and read/update pairs
+    // drawn from a pool of mostly linear patterns in which a fifth of the
+    // nodes branch, so the index's table path runs beside its chain path.
+    // Both share a two-letter alphabet: over six letters a pattern's root
+    // rarely matches the document's, and every verdict came out
+    // independent.
+    let mut rng = SplitMix64::seed_from_u64(9);
+    let mut pattern = PatternParams::linear(4);
+    pattern.alphabet = 2;
+    pattern.branch_rate = 0.2;
+    let params = ProgramParams {
+        len: 60,
+        update_rate: 0.5,
+        delete_rate: 0.4,
+        pattern,
+    };
+    let (mut reads, mut updates) = (Vec::new(), Vec::new());
+    for s in random_program(&mut rng, &params).stmts {
+        let json = wire::stmt_to_json(&s).to_string();
+        match s {
+            Stmt::Read(r) => reads.push((r, json)),
+            Stmt::Update(u) => updates.push((u, json)),
+        }
+    }
+    assert!(!reads.is_empty() && !updates.is_empty());
+    let tparams = TreeParams {
+        nodes: 40,
+        alphabet: 2,
+        ..TreeParams::default()
+    };
+    let content = cxu::tree::text::to_text(&random_tree(&mut rng, &tparams));
+    let v = c.roundtrip(&format!(
+        r#"{{"route": "doc_put", "doc": "r", "content": "{content}"}}"#
+    ));
+    assert_eq!(v.get("ok").and_then(Json::as_bool), Some(true), "{v:?}");
+    let stored = cxu::tree::text::parse(&content).unwrap();
+    let mut conflicts = [0usize; 3];
+    for _ in 0..150 {
+        let (read, r) = &reads[rng.gen_range(0..reads.len())];
+        let (update, u) = &updates[rng.gen_range(0..updates.len())];
+        for (k, sem) in Semantics::ALL.into_iter().enumerate() {
+            let expect = cxu::ops::witness::witnesses_update_conflict(read, update, &stored, sem);
+            conflicts[k] += usize::from(expect);
+            let v = c.roundtrip(&format!(
+                r#"{{"route": "doc_check", "doc": "r", "semantics": "{}", "read": {r}, "update": {u}}}"#,
+                sem.name()
+            ));
+            assert_eq!(
+                v.get("conflict").and_then(Json::as_bool),
+                Some(expect),
+                "socket verdict disagrees with the witness check \
+                 for {r} vs {u} under {sem:?}: {v:?}"
+            );
+            assert_eq!(
+                v.get("nodes").and_then(Json::as_u64),
+                Some(stored.live_count() as u64),
+                "{v:?}"
+            );
+        }
+    }
+    assert!(
+        conflicts.iter().all(|&n| n > 0 && n < 150),
+        "both verdicts occur under every semantics: {conflicts:?}"
+    );
 
     let v = c.roundtrip(r#"{"route": "shutdown"}"#);
     assert_eq!(v.get("status").and_then(Json::as_str), Some("draining"));
