@@ -541,3 +541,59 @@ fn loadgen_refuses_unread_flags_before_connecting() {
         assert!(!e.contains("connect"), "{argv:?}: {e}");
     }
 }
+
+#[test]
+fn editors_rerun_against_a_server_that_holds_their_documents() {
+    use std::io::{BufRead, BufReader, Write};
+    use std::process::Stdio;
+    /// Stops the server even when an assertion fails first.
+    struct Server(std::process::Child);
+    impl Drop for Server {
+        fn drop(&mut self) {
+            let _ = self.0.kill();
+            let _ = self.0.wait();
+        }
+    }
+    let mut server = Server(
+        Command::new(env!("CARGO_BIN_EXE_cxu"))
+            .args(["serve", "--addr", "127.0.0.1:0", "--shards", "2"])
+            .stdout(Stdio::piped())
+            .stderr(Stdio::null())
+            .spawn()
+            .expect("server starts"),
+    );
+    let mut lines = BufReader::new(server.0.stdout.take().unwrap()).lines();
+    let addr = loop {
+        let line = lines.next().expect("server announces its address").unwrap();
+        if let Some(addr) = line.strip_prefix("cxu-serve listening on ") {
+            break addr.to_owned();
+        }
+    };
+    // The second store run and the txn run find doc-0 and doc-1 already
+    // there, edited by the runs before them.
+    for profile in ["store", "store", "txn"] {
+        let out = cxu(&[
+            "loadgen",
+            "--addr",
+            &addr,
+            "--profile",
+            profile,
+            "--connections",
+            "2",
+            "--docs",
+            "2",
+            "--duration-ms",
+            "200",
+            "--validate",
+        ]);
+        assert!(out.status.success(), "{profile}: {}", stderr(&out));
+        assert!(
+            stdout(&out).contains("\"disagreements\": 0"),
+            "{profile}: {}",
+            stdout(&out)
+        );
+    }
+    let mut c = std::net::TcpStream::connect(&addr).unwrap();
+    c.write_all(b"{\"route\": \"shutdown\"}\n").unwrap();
+    assert!(server.0.wait().unwrap().success());
+}

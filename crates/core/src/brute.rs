@@ -5,8 +5,9 @@
 //! exists, a witness tree of size at most `|R|·|U|·(k+1)` over the
 //! alphabet `Σ_R ∪ Σ_U ∪ {α}` exists (`k` = `STAR-LENGTH(R)`). This
 //! module turns the NP guess into a deterministic bounded search: it
-//! enumerates candidate trees up to a size bound (one representative per
-//! isomorphism class) and checks each with the Lemma 1 witness verifier.
+//! visits candidate trees up to a size bound in size order (one
+//! representative per isomorphism class), building each only when the
+//! search reaches it, and checks each with the Lemma 1 witness verifier.
 //!
 //! The search is exponential — which is precisely the paper's point, and
 //! what experiment E4 measures against the PTIME detectors. Budgets keep
@@ -17,8 +18,9 @@
 use cxu_ops::witness::witnesses_update_conflict;
 use cxu_ops::{Read, Semantics, Update};
 use cxu_runtime::{failpoints, Deadline};
-use cxu_tree::enumerate::{count_trees_capped, enumerate_trees};
+use cxu_tree::enumerate::{count_trees_capped, visit_trees};
 use cxu_tree::{Symbol, Tree};
+use std::ops::ControlFlow;
 
 /// Bounds for the exhaustive search.
 #[derive(Clone, Copy, Debug)]
@@ -150,15 +152,16 @@ fn find_witness_deadline_inner(
     if candidates > budget.max_trees || failpoints::fire("brute::search") {
         return SearchOutcome::BudgetExceeded(candidates);
     }
-    for t in enumerate_trees(&alpha, budget.max_nodes) {
+    visit_trees(&alpha, budget.max_nodes, |t| {
         if deadline.poll() {
-            return SearchOutcome::DeadlineExceeded;
+            ControlFlow::Break(SearchOutcome::DeadlineExceeded)
+        } else if witnesses_update_conflict(r, u, t, sem) {
+            ControlFlow::Break(SearchOutcome::Conflict(t.clone()))
+        } else {
+            ControlFlow::Continue(())
         }
-        if witnesses_update_conflict(r, u, &t, sem) {
-            return SearchOutcome::Conflict(t);
-        }
-    }
-    SearchOutcome::NoConflictWithin(budget.max_nodes)
+    })
+    .unwrap_or(SearchOutcome::NoConflictWithin(budget.max_nodes))
 }
 
 /// Exact decision: searches up to the full Lemma 11 bound. Returns `None`
@@ -183,62 +186,6 @@ pub fn decide_outcome(
         max_trees,
     };
     find_witness_deadline(r, u, sem, budget, deadline)
-}
-
-/// [`find_witness`] fanned out over `threads` OS threads with early exit.
-///
-/// Candidate checking is embarrassingly parallel (each witness check is
-/// independent); enumeration itself stays sequential, which is fine —
-/// checking dominates. Worth using from roughly a million candidates up;
-/// below that the thread setup dwarfs the work.
-pub fn find_witness_parallel(
-    r: &Read,
-    u: &Update,
-    sem: Semantics,
-    budget: Budget,
-    threads: usize,
-) -> SearchOutcome {
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::Mutex;
-
-    let threads = threads.max(1);
-    let alpha = witness_alphabet(r, u);
-    let candidates = count_trees_capped(alpha.len(), budget.max_nodes, budget.max_trees);
-    if candidates > budget.max_trees {
-        return SearchOutcome::BudgetExceeded(candidates);
-    }
-    let all = enumerate_trees(&alpha, budget.max_nodes);
-    if all.is_empty() {
-        return SearchOutcome::NoConflictWithin(budget.max_nodes);
-    }
-    let found: Mutex<Option<Tree>> = Mutex::new(None);
-    let stop = AtomicBool::new(false);
-    let chunk = all.len().div_ceil(threads);
-    std::thread::scope(|scope| {
-        for part in all.chunks(chunk) {
-            let found = &found;
-            let stop = &stop;
-            scope.spawn(move || {
-                for t in part {
-                    if stop.load(Ordering::Relaxed) {
-                        return;
-                    }
-                    if witnesses_update_conflict(r, u, t, sem) {
-                        stop.store(true, Ordering::Relaxed);
-                        let mut slot = found.lock().expect("witness slot");
-                        if slot.is_none() {
-                            *slot = Some(t.clone());
-                        }
-                        return;
-                    }
-                }
-            });
-        }
-    });
-    match found.into_inner().expect("witness slot") {
-        Some(w) => SearchOutcome::Conflict(w),
-        None => SearchOutcome::NoConflictWithin(budget.max_nodes),
-    }
 }
 
 #[cfg(test)]
@@ -394,50 +341,6 @@ mod tests {
             assert!(names.contains(&want));
         }
         assert_eq!(alpha.len(), 6, "five named + one fresh");
-    }
-
-    #[test]
-    fn parallel_agrees_with_sequential() {
-        let cases: Vec<(&str, Update)> = vec![
-            ("x//C", ins("x/B", "C")),
-            ("x//D", ins("x/B", "C")),
-            ("a[b][c]", ins("a[b]", "c")),
-            ("a[b][c]", ins("a/b", "q")),
-            ("a//v", del("a/b")),
-        ];
-        for (r_src, u) in cases {
-            let r = read(r_src);
-            for threads in [1usize, 4] {
-                let seq = find_witness(&r, &u, Semantics::Node, Budget::default());
-                let par =
-                    find_witness_parallel(&r, &u, Semantics::Node, Budget::default(), threads);
-                assert_eq!(
-                    seq.decided(),
-                    par.decided(),
-                    "{r_src} vs {u:?} with {threads} threads"
-                );
-                if let SearchOutcome::Conflict(w) = par {
-                    assert!(witnesses_update_conflict(&r, &u, &w, Semantics::Node));
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_budget_exceeded() {
-        let r = read("a//b//c");
-        let u = ins("a//x[y][z]", "w");
-        let out = find_witness_parallel(
-            &r,
-            &u,
-            Semantics::Node,
-            Budget {
-                max_nodes: 12,
-                max_trees: 10,
-            },
-            4,
-        );
-        assert!(matches!(out, SearchOutcome::BudgetExceeded(_)));
     }
 
     #[test]

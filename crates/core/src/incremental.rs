@@ -119,9 +119,8 @@ impl IncrementalRead {
     /// [`Insert::apply_indexed`].
     pub fn note_insert(&mut self, t: &Tree, pairs: &[(NodeId, NodeId)]) {
         let m = self.steps.len();
-        let pairs = pairs.to_vec();
         let mut fresh: Vec<NodeId> = Vec::new();
-        for (point, copy_root) in pairs {
+        for &(point, copy_root) in pairs {
             // The path to `point` consists of pre-insert nodes only, so
             // the state set there is unaffected by this update.
             let states = self.states_at(t, point);
@@ -139,8 +138,18 @@ impl IncrementalRead {
                 }
             }
         }
-        if !fresh.is_empty() {
-            self.result.extend(fresh);
+        // Grafted copies take fresh arena slots, so when insertions are
+        // folded in the order they were applied, every fresh match sorts
+        // after the cached ones and the fold is an append: it costs the
+        // update, not the result. Only an out-of-order fold re-sorts.
+        fresh.sort_unstable();
+        fresh.dedup();
+        let in_order = match (self.result.last(), fresh.first()) {
+            (Some(last), Some(first)) => last < first,
+            _ => true,
+        };
+        self.result.extend(fresh);
+        if !in_order {
             self.result.sort_unstable();
             self.result.dedup();
         }
@@ -261,6 +270,23 @@ mod tests {
                 "after {p}"
             );
         }
+    }
+
+    #[test]
+    fn insertions_folded_in_reverse_order_match_the_oracle() {
+        // The second insertion lands inside the first one's copy. Folded
+        // last, the first insertion's matches sit below ids already in
+        // the result, and its walk re-finds the second's: the fold must
+        // re-sort and dedup.
+        let mut t = text::parse("a(b c(v))").unwrap();
+        let mut inc = IncrementalRead::new(read("a//v"), &t).unwrap();
+        let first = ins("a/b", "x(v)").apply_indexed(&mut t);
+        let second = ins("a/b/x", "v(v)").apply_indexed(&mut t);
+        inc.note_insert(&t, &second);
+        inc.note_insert(&t, &first);
+        let folded = inc.result().to_vec();
+        assert_eq!(folded.len(), 4);
+        assert_eq!(folded, inc.recompute(&t));
     }
 
     #[test]

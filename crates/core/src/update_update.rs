@@ -14,8 +14,9 @@
 
 use cxu_ops::Update;
 use cxu_runtime::{failpoints, Deadline};
-use cxu_tree::enumerate::{count_trees_capped, enumerate_trees};
+use cxu_tree::enumerate::{count_trees_capped, visit_trees};
 use cxu_tree::{iso, Symbol, Tree};
+use std::ops::ControlFlow;
 
 /// Do `u1` and `u2` commute on `t` up to isomorphism —
 /// `u₁(u₂(t)) ≅ u₂(u₁(t))`?
@@ -128,15 +129,16 @@ fn find_noncommuting_witness_inner(
     if n > budget.max_trees || failpoints::fire("uu::search") {
         return Outcome::BudgetExceeded(n);
     }
-    for t in enumerate_trees(&alpha, budget.max_nodes) {
+    visit_trees(&alpha, budget.max_nodes, |t| {
         if deadline.poll() {
-            return Outcome::DeadlineExceeded;
+            ControlFlow::Break(Outcome::DeadlineExceeded)
+        } else if !commute_on(u1, u2, t) {
+            ControlFlow::Break(Outcome::Conflict(t.clone()))
+        } else {
+            ControlFlow::Continue(())
         }
-        if !commute_on(u1, u2, &t) {
-            return Outcome::Conflict(t);
-        }
-    }
-    Outcome::NoConflictWithin(budget.max_nodes)
+    })
+    .unwrap_or(Outcome::NoConflictWithin(budget.max_nodes))
 }
 
 #[cfg(test)]

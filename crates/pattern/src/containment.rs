@@ -332,9 +332,13 @@ pub fn find_counterexample(p: &Pattern, p_prime: &Pattern, max_nodes: usize) -> 
     alpha.sort_unstable();
     alpha.dedup();
     alpha.push(Symbol::fresh("z", &alpha));
-    cxu_tree::enumerate::enumerate_trees(&alpha, max_nodes)
-        .into_iter()
-        .find(|t| eval::matches(p, t) && !eval::matches(p_prime, t))
+    cxu_tree::enumerate::visit_trees(&alpha, max_nodes, |t| {
+        if eval::matches(p, t) && !eval::matches(p_prime, t) {
+            std::ops::ControlFlow::Break(t.clone())
+        } else {
+            std::ops::ControlFlow::Continue(())
+        }
+    })
 }
 
 #[cfg(test)]

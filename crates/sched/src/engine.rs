@@ -104,6 +104,35 @@ fn decide_pair_at(
     verdict
 }
 
+/// Runs the sound pre-filter on a cache miss. When it fires, the pair is
+/// decided with no detector at all: the route is recorded, the decision
+/// counts as one `sched.pair_ns` sample (the histogram covers every
+/// distinct pair decided, filtered or analyzed), and debug builds
+/// cross-check it against the full detectors.
+fn prefilter(
+    a: &Op,
+    ia: Option<&OpInfo>,
+    b: &Op,
+    ib: Option<&OpInfo>,
+    sem: cxu_ops::Semantics,
+) -> Option<Verdict> {
+    let t_pair = std::time::Instant::now();
+    if !prefilter_no_conflict(a, ia, b, ib, sem) {
+        return None;
+    }
+    let verdict = Verdict {
+        conflict: false,
+        detector: Detector::PrefilterNoConflict,
+    };
+    record_route(verdict);
+    cxu_obs::histogram!("sched.pair_ns").record_since(t_pair);
+    debug_assert!(
+        prefilter_cross_check(a, b, sem),
+        "prefilter skipped a pair the full detector finds conflicting"
+    );
+    Some(verdict)
+}
+
 /// Debug-only oracle behind the pre-filter's `debug_assert!`: re-derives
 /// a skipped pair's verdict with the full detectors and returns true iff
 /// they agree the pair cannot conflict. Deliberately calls the
@@ -147,9 +176,10 @@ pub struct PairDecision {
 }
 
 /// The outcome of [`Scheduler::lookup_pair`]: either an answer that was
-/// available under the brief scheduler lock (trivial shape or memo-cache
-/// hit), or a detached [`PairTask`] the caller runs with **no** scheduler
-/// lock held and then feeds back through [`Scheduler::commit_pair`].
+/// available under the brief scheduler lock (trivial shape, memo-cache
+/// hit, or a miss the sound pre-filter decides), or a detached
+/// [`PairTask`] the caller runs with **no** scheduler lock held and then
+/// feeds back through [`Scheduler::commit_pair`].
 ///
 /// This split is what makes the scheduler shardable: a sharded server
 /// keeps lock hold times bounded by the lookup (interning + one hash-map
@@ -186,31 +216,11 @@ impl PairTask {
         self.key
     }
 
-    /// Decides the pair under `deadline`: sound pre-filter first, then
-    /// the full detector stack. Identical routing, metrics, and
-    /// robustness envelope to the locked [`Scheduler::check_pair`] path;
-    /// no scheduler state is touched.
+    /// Decides the pair under `deadline` with the full detector stack
+    /// (the sound pre-filter already ran in [`Scheduler::lookup_pair`]).
+    /// Identical routing, metrics, and robustness envelope to the locked
+    /// [`Scheduler::check_pair`] path; no scheduler state is touched.
     pub fn run(&self, deadline: &Deadline) -> Verdict {
-        let t_pair = std::time::Instant::now();
-        if prefilter_no_conflict(
-            &self.a,
-            self.ia.as_ref(),
-            &self.b,
-            self.ib.as_ref(),
-            self.cfg.semantics,
-        ) {
-            let v = Verdict {
-                conflict: false,
-                detector: Detector::PrefilterNoConflict,
-            };
-            record_route(v);
-            cxu_obs::histogram!("sched.pair_ns").record_since(t_pair);
-            debug_assert!(
-                prefilter_cross_check(&self.a, &self.b, self.cfg.semantics),
-                "prefilter skipped a pair the full detector finds conflicting"
-            );
-            return v;
-        }
         decide_pair_at(
             &self.a,
             self.ia.as_ref(),
@@ -303,7 +313,7 @@ impl Scheduler {
     ///
     /// Cache discipline matches the batch path exactly: every
     /// non-trivial pair costs one `sched.cache.lookups`; hits are served
-    /// from memory; misses run the sound pre-filter then the detectors;
+    /// from memory; misses run the sound pre-filter, then the detectors;
     /// exact and budget verdicts are memoized while transient
     /// degradations (expired deadline, panic) are skipped
     /// (`sched.cache.skips`) so a later call retries them.
@@ -321,8 +331,10 @@ impl Scheduler {
     }
 
     /// The lock-friendly half of [`Scheduler::check_pair`]: interns both
-    /// operations and probes the memo cache, returning either a ready
-    /// decision or a detached [`PairTask`]. Callers holding this
+    /// operations, probes the memo cache and, on a miss, runs the sound
+    /// pre-filter on the interned summaries (a few comparisons). It
+    /// returns a ready decision — trivial, cached, or prefiltered and
+    /// memoized — or a detached [`PairTask`]. Callers holding this
     /// scheduler behind a mutex release it before running the task and
     /// re-take it only for [`Scheduler::commit_pair`], so a slow
     /// (NP-side) pair never head-of-line-blocks other lookups on the
@@ -350,12 +362,21 @@ impl Scheduler {
             });
         }
         cxu_obs::counter!("sched.cache.misses").inc();
+        let (ia, ib) = (self.interner.info(ka), self.interner.info(kb));
+        if let Some(verdict) = prefilter(a, ia, b, ib, self.cfg.semantics) {
+            // Exact for the pair shape under this config, so memoized.
+            self.cache.insert(pk, verdict);
+            return PairLookup::Ready(PairDecision {
+                verdict,
+                cached: false,
+            });
+        }
         PairLookup::Miss(Box::new(PairTask {
             key: pk,
             a: a.clone(),
-            ia: self.interner.info(ka).cloned(),
+            ia: ia.cloned(),
             b: b.clone(),
-            ib: self.interner.info(kb).cloned(),
+            ib: ib.cloned(),
             cfg: self.cfg,
         }))
     }
@@ -504,23 +525,9 @@ impl Scheduler {
                         cxu_obs::counter!("sched.cache.misses").inc();
                         // Sound batch pre-filter: intern-time summaries
                         // that provably preclude any embedding overlap
-                        // discharge the pair with no detector at all. The
-                        // decision still counts as one `sched.pair_ns`
-                        // sample: the histogram covers every distinct
-                        // pair decided this batch, filtered or analyzed.
-                        let t_pair = std::time::Instant::now();
+                        // discharge the pair with no detector at all.
                         let (ia, ib) = (self.interner.info(ka), self.interner.info(kb));
-                        if prefilter_no_conflict(&ops[a], ia, &ops[b], ib, self.cfg.semantics) {
-                            let v = Verdict {
-                                conflict: false,
-                                detector: Detector::PrefilterNoConflict,
-                            };
-                            record_route(v);
-                            cxu_obs::histogram!("sched.pair_ns").record_since(t_pair);
-                            debug_assert!(
-                                prefilter_cross_check(&ops[a], &ops[b], self.cfg.semantics),
-                                "prefilter skipped a pair the full detector finds conflicting"
-                            );
+                        if let Some(v) = prefilter(&ops[a], ia, &ops[b], ib, self.cfg.semantics) {
                             stats.prefilter_skips += 1;
                             prefiltered.push((pk, v));
                         } else {

@@ -697,7 +697,9 @@ fn run_editors(cfg: &LoadConfig) -> Result<LoadReport, String> {
 
     // Setup pass: create the shared documents, collecting their initial
     // revisions. The document trees share the update pool's label
-    // alphabet, so the ops actually touch them.
+    // alphabet, so the ops actually touch them. A document an earlier
+    // run left on the server refuses a create; the fresh content then
+    // goes on its current winner instead.
     let tparams = TreeParams {
         nodes: 12,
         alphabet: 6,
@@ -707,16 +709,30 @@ fn run_editors(cfg: &LoadConfig) -> Result<LoadReport, String> {
     let mut init_revs: Vec<String> = Vec::with_capacity(cfg.docs.max(1));
     for d in 0..cfg.docs.max(1) {
         let content = text::to_text(&random_tree(&mut rng, &tparams));
-        let v = setup.roundtrip(&format!(
-            "{{\"route\": \"doc_put\", \"doc\": \"doc-{d}\", \"content\": \"{content}\"{extras}}}"
-        ))?;
-        if v.get("ok").and_then(Json::as_bool) != Some(true) {
-            return Err(format!("setup put for doc-{d} failed: {v}"));
+        let put = |setup: &mut LineClient, base: &str| -> Result<Json, String> {
+            let v = setup.roundtrip(&format!(
+                "{{\"route\": \"doc_put\", \"doc\": \"doc-{d}\"{base}, \"content\": \"{content}\"{extras}}}"
+            ))?;
+            if v.get("ok").and_then(Json::as_bool) != Some(true) {
+                return Err(format!("setup put for doc-{d} failed: {v}"));
+            }
+            Ok(v)
+        };
+        let mut v = put(&mut setup, "")?;
+        if v.get("rev").is_none() {
+            let got = setup.roundtrip(&format!(
+                "{{\"route\": \"doc_get\", \"doc\": \"doc-{d}\"{extras}}}"
+            ))?;
+            let winner = got
+                .get("rev")
+                .and_then(Json::as_str)
+                .ok_or_else(|| format!("setup put for doc-{d} was refused: {v}"))?;
+            v = put(&mut setup, &format!(", \"base_rev\": \"{winner}\""))?;
         }
         let rev = v
             .get("rev")
             .and_then(Json::as_str)
-            .ok_or_else(|| format!("setup put for doc-{d} returned no rev"))?;
+            .ok_or_else(|| format!("setup put for doc-{d} returned no rev: {v}"))?;
         init_revs.push(rev.to_owned());
     }
 

@@ -24,8 +24,9 @@
 //! [`crate::shard`]). Each shard owns its own schedulers — a slice of
 //! the memo cache — so repeated shapes always hit a warm cache without
 //! any cross-shard locking. The IO loop answers a `check` whose pair is
-//! already memoized *inline* (one brief `try_lock` on the home shard —
-//! no queue round-trip); misses are queued to the home shard, where the
+//! already memoized, or that the sound pre-filter decides, *inline* (one
+//! brief `try_lock` on the home shard — no queue round-trip); other
+//! misses are queued to the home shard, where the
 //! detector runs with **no scheduler lock held**
 //! ([`cxu_sched::PairTask`]) and only the commit re-takes it. Idle
 //! shard workers steal queued jobs from other shards, committing stolen
@@ -1092,7 +1093,8 @@ enum LineOutcome {
 
 /// The inline fast path's verdict on a `check` request.
 enum InlineCheck {
-    /// Answered from the home shard's warm cache (or trivially).
+    /// Answered from the home shard's warm cache, trivially, or by the
+    /// pre-filter.
     Answered(String),
     /// The `serve::request` failpoint fired.
     Injected(String),
@@ -1103,8 +1105,8 @@ enum InlineCheck {
 }
 
 /// Handles one complete request line on the IO thread: admin routes,
-/// the connection's transaction accumulator, and warm-cache checks
-/// inline; everything else through shard admission.
+/// the connection's transaction accumulator, and checks the lookup
+/// decides inline; everything else through shard admission.
 fn handle_line(
     shared: &Shared,
     line: &[u8],
@@ -1315,9 +1317,9 @@ fn handle_line(
 }
 
 /// The warm-shard fast path, run on the IO thread: fire the request
-/// failpoint, then try a brief lookup on the home shard. A cache hit
-/// (or trivial pair) renders right here — no queue round-trip, no
-/// worker wakeup. `try_lock` keeps the IO loop wait-free: if the home
+/// failpoint, then try a brief lookup on the home shard. A cache hit, a
+/// trivial pair, or a miss the pre-filter decides renders right here —
+/// no queue round-trip, no worker wakeup. `try_lock` keeps the IO loop wait-free: if the home
 /// shard is mid-batch, the request just queues.
 fn inline_check(shared: &Shared, req: &Request, home: usize, received: Instant) -> InlineCheck {
     if failpoints::fire("serve::request") {

@@ -152,8 +152,8 @@ pub(crate) struct Shard {
     scheds: [Mutex<Scheduler>; 3],
     /// Requests whose home is this shard (inline + queued + rejected).
     pub routed: &'static Counter,
-    /// Check requests answered on the IO thread from this shard's warm
-    /// cache (no queue round-trip).
+    /// Check requests answered on the IO thread (no queue round-trip):
+    /// trivial pairs, memo hits, and misses the pre-filter decides.
     pub inline_hits: &'static Counter,
     /// Queued jobs with this home shard completed by any worker.
     pub executed: &'static Counter,

@@ -12,15 +12,41 @@
 //! grow exponentially — callers bound `max_nodes` and alphabet size.
 
 use crate::{NodeId, Symbol, Tree};
+use std::ops::ControlFlow;
 
 /// All unordered labeled trees with `1..=max_nodes` nodes over `alphabet`,
 /// one representative per isomorphism class.
 ///
 /// Counts grow fast: with 2 labels there are 2, 4, 14, 52, 214, … trees of
 /// sizes 1, 2, 3, 4, 5 (cf. OEIS A000151 shape counts). Use
-/// [`count_trees`] to pre-check the budget.
+/// [`count_trees`] to pre-check the budget, and [`visit_trees`] to search
+/// the space without holding it in memory.
 pub fn enumerate_trees(alphabet: &[Symbol], max_nodes: usize) -> Vec<Tree> {
-    Enumerator::new(alphabet, max_nodes).run()
+    let mut all = Vec::new();
+    visit_trees(alphabet, max_nodes, |t| {
+        all.push(t.clone());
+        ControlFlow::<()>::Continue(())
+    });
+    all
+}
+
+/// Visits the trees [`enumerate_trees`] returns, in the same order, and
+/// stops at the first `Break`, returning its value (`None` when every
+/// tree was visited).
+///
+/// Each tree is built only when the visit reaches it, so a search that
+/// stops early never pays for the rest of the space. Trees smaller than
+/// `max_nodes` are kept, because larger trees are grafted from them; the
+/// largest size class, which is most of the space, is never stored.
+pub fn visit_trees<B>(
+    alphabet: &[Symbol],
+    max_nodes: usize,
+    mut visit: impl FnMut(&Tree) -> ControlFlow<B>,
+) -> Option<B> {
+    match Enumerator::new(alphabet, max_nodes).run(&mut visit) {
+        ControlFlow::Break(b) => Some(b),
+        ControlFlow::Continue(()) => None,
+    }
 }
 
 /// Number of trees [`enumerate_trees`] would return, computed without
@@ -115,13 +141,10 @@ fn multiset_choose(n: u128, k: u128, cap: u128) -> u128 {
     c
 }
 
-/// Callback receiving one complete multiset choice of (size, index) class
-/// references.
-type Emit<'e> = &'e mut dyn FnMut(&[(usize, usize)]);
-
 struct Enumerator<'a> {
     alphabet: &'a [Symbol],
-    /// classes[n] = canonical trees with exactly n+1 nodes.
+    /// classes[n] = canonical trees with exactly n+1 nodes, for the
+    /// sizes below `max_nodes` only: the building blocks of larger trees.
     classes: Vec<Vec<Tree>>,
     max_nodes: usize,
 }
@@ -135,57 +158,66 @@ impl<'a> Enumerator<'a> {
         }
     }
 
-    fn run(mut self) -> Vec<Tree> {
-        if self.max_nodes == 0 || self.alphabet.is_empty() {
-            return Vec::new();
+    /// Builds and visits the trees size by size; within a size, root
+    /// label by root label, each root's child multisets in
+    /// nondecreasing (size, index) order.
+    fn run<B>(&mut self, visit: &mut impl FnMut(&Tree) -> ControlFlow<B>) -> ControlFlow<B> {
+        if self.alphabet.is_empty() {
+            return ControlFlow::Continue(());
         }
-        // Size 1.
-        self.classes
-            .push(self.alphabet.iter().map(|&s| Tree::new(s)).collect());
-        for n in 2..=self.max_nodes {
+        for n in 1..=self.max_nodes {
+            let keep = n < self.max_nodes;
             let mut level: Vec<Tree> = Vec::new();
             for &root_label in self.alphabet {
                 // Choose a multiset of previously generated classes whose
-                // sizes sum to n-1, in nondecreasing (size, index) order.
+                // sizes sum to n-1 (the empty one for n = 1).
+                let classes = &self.classes;
                 let mut chosen: Vec<(usize, usize)> = Vec::new();
-                self.fill(n - 1, (1, 0), &mut chosen, &mut |chosen| {
+                fill(classes, n - 1, (1, 0), &mut chosen, &mut |chosen| {
                     let mut t = Tree::new(root_label);
                     let root = t.root();
                     for &(size, idx) in chosen {
-                        graft_built(&mut t, root, &self.classes[size - 1][idx]);
+                        graft_built(&mut t, root, &classes[size - 1][idx]);
                     }
-                    level.push(t);
-                });
+                    let flow = visit(&t);
+                    if keep {
+                        level.push(t);
+                    }
+                    flow
+                })?;
             }
-            self.classes.push(level);
+            if keep {
+                self.classes.push(level);
+            }
         }
-        self.classes.into_iter().flatten().collect()
+        ControlFlow::Continue(())
     }
+}
 
-    /// Recursively choose classes with total `budget`, each ≥ `min` in the
-    /// (size, index) order, invoking `emit` on every complete choice.
-    fn fill(
-        &self,
-        budget: usize,
-        min: (usize, usize),
-        chosen: &mut Vec<(usize, usize)>,
-        emit: Emit<'_>,
-    ) {
-        if budget == 0 {
-            emit(chosen);
-            return;
-        }
-        let (min_size, min_idx) = min;
-        for size in min_size..=budget {
-            let start = if size == min_size { min_idx } else { 0 };
-            let level = &self.classes[size - 1];
-            for idx in start..level.len() {
-                chosen.push((size, idx));
-                self.fill(budget - size, (size, idx), chosen, emit);
-                chosen.pop();
-            }
+/// Recursively chooses classes with total `budget`, each ≥ `min` in the
+/// (size, index) order, invoking `emit` on every complete choice until
+/// it breaks.
+fn fill<B>(
+    classes: &[Vec<Tree>],
+    budget: usize,
+    min: (usize, usize),
+    chosen: &mut Vec<(usize, usize)>,
+    emit: &mut impl FnMut(&[(usize, usize)]) -> ControlFlow<B>,
+) -> ControlFlow<B> {
+    if budget == 0 {
+        return emit(chosen);
+    }
+    let (min_size, min_idx) = min;
+    for size in min_size..=budget {
+        let start = if size == min_size { min_idx } else { 0 };
+        for idx in start..classes[size - 1].len() {
+            chosen.push((size, idx));
+            let flow = fill(classes, budget - size, (size, idx), chosen, emit);
+            chosen.pop();
+            flow?;
         }
     }
+    ControlFlow::Continue(())
 }
 
 /// Grafts without touching the modification journal (these are freshly
@@ -320,10 +352,125 @@ mod tests {
         assert!(t0.elapsed() < std::time::Duration::from_secs(5));
     }
 
+    fn texts(trees: &[Tree]) -> Vec<String> {
+        trees.iter().map(crate::text::to_text).collect()
+    }
+
+    /// The eager enumerator this module had before it streamed: every
+    /// class of every size built up front, then flattened. Kept as the
+    /// order oracle, since search witnesses depend on the order.
+    fn eager(alphabet: &[Symbol], max_nodes: usize) -> Vec<Tree> {
+        fn choices(
+            classes: &[Vec<Tree>],
+            budget: usize,
+            min: (usize, usize),
+            chosen: &mut Vec<(usize, usize)>,
+            out: &mut Vec<Vec<(usize, usize)>>,
+        ) {
+            if budget == 0 {
+                out.push(chosen.clone());
+                return;
+            }
+            for size in min.0..=budget {
+                let start = if size == min.0 { min.1 } else { 0 };
+                for idx in start..classes[size - 1].len() {
+                    chosen.push((size, idx));
+                    choices(classes, budget - size, (size, idx), chosen, out);
+                    chosen.pop();
+                }
+            }
+        }
+        let mut classes: Vec<Vec<Tree>> = Vec::new();
+        for n in 1..=max_nodes {
+            let mut level = Vec::new();
+            for &root_label in alphabet {
+                let mut all = Vec::new();
+                choices(&classes, n - 1, (1, 0), &mut Vec::new(), &mut all);
+                for chosen in all {
+                    let mut t = Tree::new(root_label);
+                    let root = t.root();
+                    for (size, idx) in chosen {
+                        graft_built(&mut t, root, &classes[size - 1][idx]);
+                    }
+                    level.push(t);
+                }
+            }
+            classes.push(level);
+        }
+        classes.into_iter().flatten().collect()
+    }
+
+    #[test]
+    fn visit_yields_the_enumeration_in_order() {
+        for labels in 1..=3usize {
+            let alpha: Vec<Symbol> = (0..labels)
+                .map(|i| Symbol::intern(&format!("vis{i}")))
+                .collect();
+            for n in 0..=5usize {
+                let mut seen = Vec::new();
+                let done = visit_trees(&alpha, n, |t| {
+                    seen.push(t.clone());
+                    ControlFlow::<()>::Continue(())
+                });
+                assert!(done.is_none(), "labels={labels} n={n}");
+                let want = texts(&eager(&alpha, n));
+                assert_eq!(texts(&seen), want, "labels={labels} n={n}");
+                assert_eq!(texts(&enumerate_trees(&alpha, n)), want);
+                assert_eq!(seen.len() as u128, count_trees(labels, n));
+            }
+        }
+    }
+
+    #[test]
+    fn break_stops_right_after_that_tree() {
+        let ab = syms(&["a", "b"]);
+        let all = texts(&enumerate_trees(&ab, 4));
+        for stop in 0..all.len() {
+            let mut seen = Vec::new();
+            let got = visit_trees(&ab, 4, |t| {
+                seen.push(crate::text::to_text(t));
+                if seen.len() == stop + 1 {
+                    ControlFlow::Break(stop)
+                } else {
+                    ControlFlow::Continue(())
+                }
+            });
+            assert_eq!(got, Some(stop));
+            assert_eq!(seen, all[..=stop], "stopped at {stop}");
+        }
+    }
+
+    #[test]
+    fn largest_size_class_is_never_stored() {
+        let abc = syms(&["a", "b", "c"]);
+        for n in 1..=5usize {
+            let mut e = Enumerator::new(&abc, n);
+            let mut largest = 0u128;
+            let _ = e.run(&mut |t: &Tree| {
+                if t.live_count() == n {
+                    largest += 1;
+                }
+                ControlFlow::<()>::Continue(())
+            });
+            assert!(largest > 0, "n={n}: the largest class was visited");
+            assert_eq!(
+                e.classes.len(),
+                n - 1,
+                "n={n}: one stored class per smaller size"
+            );
+            for (i, class) in e.classes.iter().enumerate() {
+                assert!(class.iter().all(|t| t.live_count() == i + 1), "n={n}");
+            }
+            let stored: usize = e.classes.iter().map(Vec::len).sum();
+            assert_eq!(stored as u128, count_trees(3, n - 1), "n={n}");
+        }
+    }
+
     #[test]
     fn empty_inputs() {
         assert!(enumerate_trees(&[], 3).is_empty());
         assert!(enumerate_trees(&syms(&["a"]), 0).is_empty());
+        assert_eq!(visit_trees(&[], 3, |_| ControlFlow::Break(())), None);
         assert_eq!(count_trees(2, 0), 0);
     }
 }

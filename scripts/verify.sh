@@ -38,6 +38,31 @@ if ./target/release/cxu schedule --gen-seed 1 --deadline-ms 0 >/dev/null 2>&1; t
     echo "--deadline-ms 0 was accepted"; exit 1
 fi
 
+echo "==> golden witnesses (the NP-side search keeps its candidate order)"
+golden() {
+    local want="$1"
+    shift
+    local got
+    got=$(./target/release/cxu check "$@")
+    [ "$got" = "$want" ] || { echo "cxu check $*: expected '$want', got '$got'"; exit 1; }
+}
+golden 'CONFLICT — witness: a(b) (Node semantics, exhaustive search)' \
+    --read 'a[b][c]' --insert 'a[b]' --subtree c
+golden 'CONFLICT — witness: a(b(v(w))) (Node semantics, exhaustive search)' \
+    --read 'a//v[w]' --delete a/b
+golden 'CONFLICT — witness: a(a) (Tree semantics, exhaustive search)' \
+    --read 'a[a]/a' --delete a/a --semantics tree
+golden 'CONFLICT — witness: a(a) (Value semantics, exhaustive search)' \
+    --read 'a[a]//a' --insert a/a --subtree a --semantics value
+golden 'no conflict witnessed by trees of <= 6 nodes (branching read: problem is NP-complete, §5)' \
+    --read 'a[b][c]' --insert a/b --subtree q
+
+echo "==> memory guard (an exhaustive search over 6 nodes and 5 symbols in 64 MiB)"
+# The search builds each candidate when it reaches it; holding the
+# whole candidate list took about 120 MiB here.
+(ulimit -v 65536; ./target/release/cxu check --read 'a[b][c]//d' --insert a/b --subtree c >/dev/null) \
+    || { echo "the exhaustive search did not fit in 64 MiB of address space"; exit 1; }
+
 echo "==> experiment report (EXPERIMENTS.md E4a-E15; exits nonzero on a failed check)"
 exp_out=$(mktemp)
 ./target/release/cxu-bench experiments > "$exp_out" \
@@ -164,9 +189,7 @@ grep -qE '"puts": [1-9]' "$serve_bench" \
 kill -TERM "$serve_pid"
 wait "$serve_pid" || { echo "store server exited nonzero after SIGTERM"; cat "$serve_log"; exit 1; }
 # SIGTERM with puts still in flight: admitted work must drain, and the
-# editors must see clean connection closes, not hangs. A fresh server:
-# the editors create their documents, and against the ones left above
-# their setup puts are refused before any put is sent.
+# editors must see clean connection closes, not hangs.
 ./target/release/cxu serve --addr 127.0.0.1:0 --workers 4 > "$serve_log" 2>&1 &
 serve_pid=$!
 addr=""

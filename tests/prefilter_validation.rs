@@ -7,10 +7,12 @@
 //! release path, the batch-level accounting identity, and that the
 //! filter is not vacuous on linear-heavy traffic.
 
+use cxu::gen::parse::parse_program;
 use cxu::gen::patterns::PatternParams;
 use cxu::gen::program::{random_program, ProgramParams};
 use cxu::gen::rng::SplitMix64;
-use cxu::sched::{analyze_pair, ops_of_program, Detector, Op, SchedConfig, Scheduler};
+use cxu::obs;
+use cxu::sched::{analyze_pair, ops_of_program, Detector, Op, PairLookup, SchedConfig, Scheduler};
 
 fn linear_batch(seed: u64, len: usize) -> Vec<Op> {
     let mut rng = SplitMix64::seed_from_u64(seed);
@@ -124,4 +126,45 @@ fn prefilter_verdicts_are_memoized() {
     for (e1, e2) in first.graph.edges().iter().zip(second.graph.edges()) {
         assert_eq!(e1.verdict, e2.verdict);
     }
+}
+
+/// On the serving path the pre-filter runs inside `lookup_pair`: a miss
+/// it decides comes back `Ready` (not cached, no detector task to run),
+/// memoized, so the next lookup is a hit. It counts exactly as a
+/// prefiltered miss always has: one miss, one prefilter route, one
+/// `sched.pair_ns` sample.
+#[test]
+fn prefiltered_miss_is_answered_by_the_lookup() {
+    let ops = ops_of_program(&parse_program("y = read $x/B; insert $x/C, D").unwrap());
+    let (a, b) = (&ops[0], &ops[1]);
+    let reg = obs::Registry::leak();
+    obs::with_registry(reg, || {
+        let mut s = Scheduler::new(cfg());
+        let before = reg.snapshot();
+        match s.lookup_pair(a, b) {
+            PairLookup::Ready(d) => {
+                assert!(!d.cached, "a prefiltered miss is not a cache hit");
+                assert_eq!(d.verdict.detector, Detector::PrefilterNoConflict);
+                assert!(!d.verdict.conflict);
+            }
+            PairLookup::Miss(_) => panic!("the pre-filter decides this pair at lookup"),
+        }
+        let d = reg.snapshot().delta(&before);
+        assert_eq!(d.counter("sched.cache.lookups"), 1);
+        assert_eq!(d.counter("sched.cache.misses"), 1);
+        assert_eq!(d.counter("sched.route.prefilter_no_conflict"), 1);
+        assert_eq!(d.histogram("sched.pair_ns").map(|h| h.count), Some(1));
+
+        match s.lookup_pair(b, a) {
+            PairLookup::Ready(d) => {
+                assert!(d.cached, "the prefilter verdict was memoized");
+                assert_eq!(d.verdict.detector, Detector::PrefilterNoConflict);
+            }
+            PairLookup::Miss(_) => panic!("a memoized pair must not miss"),
+        }
+        let d = reg.snapshot().delta(&before);
+        assert_eq!(d.counter("sched.cache.hits"), 1);
+        assert_eq!(d.counter("sched.cache.misses"), 1);
+        assert_eq!(d.counter("sched.route.prefilter_no_conflict"), 1);
+    });
 }

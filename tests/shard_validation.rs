@@ -4,6 +4,7 @@
 //! argument order), and a verdict computed by a *stealing* worker must
 //! land exactly once, in the home shard's memo cache.
 
+use cxu::gen::json::Json;
 use cxu::gen::parse::parse_program;
 use cxu::gen::patterns::PatternParams;
 use cxu::gen::program::{random_program, ProgramParams};
@@ -298,4 +299,76 @@ fn server_restart_routes_the_same_requests_to_the_same_shards() {
         first, second,
         "a restarted server must route the same pool to the same shards"
     );
+}
+
+/// A check the pre-filter decides never reaches a worker: the IO thread
+/// answers it from the lookup (`inline_hits` +1, `executed` +0), and
+/// the repeat is a cache hit, answered inline too.
+#[test]
+fn prefiltered_checks_are_answered_on_the_io_thread() {
+    const SHARDS: usize = 2;
+    let server = Server::bind(
+        ServeConfig {
+            workers: SHARDS,
+            ..ServeConfig::default()
+        },
+        "127.0.0.1:0",
+    )
+    .expect("bind");
+    let addr = server.local_addr().unwrap();
+    let join = std::thread::spawn(move || server.run().expect("run"));
+    let stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(20)))
+        .unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    let mut reader = BufReader::new(stream);
+    let mut roundtrip = move |line: &str| -> Json {
+        writer.write_all(line.as_bytes()).unwrap();
+        writer.write_all(b"\n").unwrap();
+        let mut resp = String::new();
+        assert!(reader.read_line(&mut resp).unwrap() > 0, "closed early");
+        Json::parse(resp.trim_end()).expect("json response")
+    };
+    let shard_sum = |m: &Json, counter: &str| -> u64 {
+        let counters = m.get("metrics").and_then(|m| m.get("counters")).unwrap();
+        (0..SHARDS)
+            .filter_map(|i| {
+                counters
+                    .get(&format!("serve.shard.{i}.{counter}"))
+                    .and_then(Json::as_u64)
+            })
+            .sum()
+    };
+
+    // Rigid clash: `x/B` and `x/C` differ at a fixed depth.
+    let check = r#"{"route": "check", "a": {"kind": "read", "pattern": "x/B"}, "b": {"kind": "insert", "pattern": "x/C", "subtree": "D"}}"#;
+    let mut last = roundtrip(r#"{"route": "metrics"}"#);
+    for cached in [false, true] {
+        let v = roundtrip(check);
+        assert_eq!(
+            v.get("conflict").and_then(Json::as_bool),
+            Some(false),
+            "{v}"
+        );
+        assert_eq!(
+            v.get("detector").and_then(Json::as_str),
+            Some(Detector::PrefilterNoConflict.name()),
+            "{v}"
+        );
+        assert_eq!(v.get("cached").and_then(Json::as_bool), Some(cached), "{v}");
+        let now = roundtrip(r#"{"route": "metrics"}"#);
+        assert_eq!(
+            shard_sum(&now, "inline_hits") - shard_sum(&last, "inline_hits"),
+            1
+        );
+        assert_eq!(
+            shard_sum(&now, "executed") - shard_sum(&last, "executed"),
+            0
+        );
+        last = now;
+    }
+    let _ = roundtrip(r#"{"route": "shutdown"}"#);
+    drop(roundtrip);
+    join.join().unwrap();
 }
