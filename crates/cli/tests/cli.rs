@@ -341,6 +341,36 @@ fn schedule_json_and_dot() {
     assert!(d.contains("n1 -- n2"), "{d}");
 }
 
+/// `cxu schedule --format json --jobs 2` on two generated programs and
+/// on a program file that lists its statements twice (so the second
+/// half is served from the memo cache) must match the committed
+/// outputs byte for byte: verdicts, cache provenance, rounds, stats.
+#[test]
+fn schedule_json_matches_goldens() {
+    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden");
+    let twice = format!("{dir}/schedule-twice.cxu");
+    let cases: [(&str, Vec<&str>); 3] = [
+        (
+            "schedule-seed5.json",
+            vec!["--gen-seed", "5", "--gen-len", "16", "--gen-branch", "0.0"],
+        ),
+        (
+            "schedule-seed6.json",
+            vec!["--gen-seed", "6", "--gen-len", "12", "--gen-branch", "0.2"],
+        ),
+        ("schedule-twice.json", vec!["--program", &twice]),
+    ];
+    for (golden, source) in cases {
+        let mut args = vec!["schedule"];
+        args.extend(source);
+        args.extend(["--format", "json", "--jobs", "2"]);
+        let out = cxu(&args);
+        assert!(out.status.success(), "{}", stderr(&out));
+        let want = std::fs::read_to_string(format!("{dir}/{golden}")).expect("golden file");
+        assert_eq!(stdout(&out), want, "{golden}");
+    }
+}
+
 #[test]
 fn schedule_rejects_bad_jobs_and_format() {
     let prog = "insert $x/B, C";

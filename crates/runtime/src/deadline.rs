@@ -114,6 +114,24 @@ impl Deadline {
         self
     }
 
+    /// A fresh handle that expires at the earlier of this deadline's
+    /// cutoff and `slice` from now (no slice: this cutoff alone), and
+    /// shares this handle's token: the cutoff of one unit of work that
+    /// runs under both a batch deadline and a per-unit time slice.
+    pub fn capped(&self, slice: Option<Duration>) -> Deadline {
+        let sliced = slice.and_then(|s| Instant::now().checked_add(s));
+        let at = match (self.at, sliced) {
+            (Some(a), Some(b)) => Some(a.min(b)),
+            (a, b) => a.or(b),
+        };
+        Deadline {
+            at,
+            token: self.token.clone(),
+            polls: Cell::new(0),
+            tripped: Cell::new(false),
+        }
+    }
+
     /// True when neither a cutoff nor a token is attached — polling is
     /// then free and the search runs to completion.
     pub fn is_unbounded(&self) -> bool {
@@ -219,6 +237,23 @@ mod tests {
         assert!(dl.exceeded());
         // The strided poll sees it within one stride.
         assert!((0..=u64::from(POLL_STRIDE)).any(|_| dl.poll()));
+    }
+
+    #[test]
+    fn capped_takes_the_earlier_cutoff_and_keeps_the_token() {
+        let hour = Duration::from_secs(3600);
+        // The slice is earlier than the deadline, and vice versa.
+        assert!(Deadline::after(hour).capped(Some(Duration::ZERO)).poll());
+        assert!(Deadline::after(Duration::ZERO).capped(Some(hour)).poll());
+        assert!(!Deadline::after(hour).capped(Some(hour)).poll());
+        // No slice leaves the cutoff alone; neither side bounds nothing.
+        assert!(Deadline::after(Duration::ZERO).capped(None).poll());
+        assert!(Deadline::never().capped(None).is_unbounded());
+        assert!(!Deadline::never().capped(Some(Duration::MAX)).poll());
+        let token = CancelToken::new();
+        let dl = Deadline::never().with_token(&token).capped(Some(hour));
+        token.cancel();
+        assert!(dl.exceeded());
     }
 
     #[test]

@@ -1,6 +1,10 @@
-//! The batch analysis engine: dedup through the interner, serve repeats
-//! from the verdict cache, fan the unique pairs out over worker
-//! threads, and assemble the conflict graph, schedule, and stats.
+//! The batch analysis engine. Every pair, batched or single, is decided
+//! by lookup → task → commit: [`Scheduler::lookup_pair`] answers trivial
+//! pairs, memo hits and pre-filtered misses, a remaining miss becomes a
+//! [`PairTask`] that runs with no scheduler state, and
+//! [`Scheduler::commit_pair`] memoizes its verdict. A batch interns each
+//! op once, looks every pair up, fans its distinct misses out over
+//! worker threads, and assembles the conflict graph, schedule and stats.
 
 use crate::graph::{ConflictGraph, Edge};
 use crate::intern::{Interner, OpInfo, OpKey, PairKey};
@@ -9,7 +13,7 @@ use crate::pairwise::{analyze_pair_info, prefilter_no_conflict, Detector, Verdic
 use crate::rounds::{schedule, Schedule};
 use crate::{SchedConfig, SchedStats};
 use cxu_gen::program::Program;
-use cxu_runtime::{failpoints, CancelToken, Deadline};
+use cxu_runtime::{failpoints, Deadline};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -37,71 +41,6 @@ fn record_route(v: Verdict) {
         }
         Detector::ConservativePanic => cxu_obs::counter!("sched.route.conservative_panic").inc(),
     }
-}
-
-/// Decides one pair under the engine's robustness envelope: a fresh
-/// per-pair [`Deadline`] (sharing the batch's cancel token, if any), the
-/// `sched::pair` fault-injection site, and — when
-/// [`SchedConfig::catch_panics`] is set — a `catch_unwind` guard that
-/// converts detector panics into conservative-conflict verdicts.
-fn decide_pair(
-    a: &Op,
-    ia: Option<&OpInfo>,
-    b: &Op,
-    ib: Option<&OpInfo>,
-    cfg: &SchedConfig,
-    cancel: Option<&CancelToken>,
-) -> Verdict {
-    let mut deadline = match cfg.pair_deadline {
-        Some(slice) => Deadline::after(slice),
-        None => Deadline::never(),
-    };
-    if let Some(token) = cancel {
-        deadline = deadline.with_token(token);
-    }
-    decide_pair_at(a, ia, b, ib, cfg, &deadline)
-}
-
-/// [`decide_pair`] against a caller-supplied deadline instead of a fresh
-/// per-pair slice — the serving path hands in the *request* deadline so
-/// one slow pair degrades at exactly the moment the client stops
-/// waiting.
-fn decide_pair_at(
-    a: &Op,
-    ia: Option<&OpInfo>,
-    b: &Op,
-    ib: Option<&OpInfo>,
-    cfg: &SchedConfig,
-    deadline: &Deadline,
-) -> Verdict {
-    let t0 = std::time::Instant::now();
-    let run = || {
-        if failpoints::fire("sched::pair") {
-            return Verdict::conservative(Detector::ConservativeBudget);
-        }
-        analyze_pair_info(a, ia, b, ib, cfg, deadline)
-    };
-    let verdict = if !cfg.catch_panics {
-        run()
-    } else {
-        // `Op` and `SchedConfig` are plain data (no interior mutability), and
-        // the deadline's poll counter is at worst stale after an unwind, so
-        // observing them across the catch is safe.
-        catch_unwind(AssertUnwindSafe(run))
-            .unwrap_or_else(|_| Verdict::conservative(Detector::ConservativePanic))
-    };
-    record_route(verdict);
-    cxu_obs::histogram!("sched.pair_ns").record_since(t0);
-    if cxu_obs::trace::enabled() {
-        cxu_obs::trace::event(
-            "sched.pair",
-            &[
-                ("route", verdict.detector.name().into()),
-                ("conflict", verdict.conflict.into()),
-            ],
-        );
-    }
-    verdict
 }
 
 /// Runs the sound pre-filter on a cache miss. When it fires, the pair is
@@ -218,18 +157,81 @@ impl PairTask {
 
     /// Decides the pair under `deadline` with the full detector stack
     /// (the sound pre-filter already ran in [`Scheduler::lookup_pair`]).
-    /// Identical routing, metrics, and robustness envelope to the locked
-    /// [`Scheduler::check_pair`] path; no scheduler state is touched.
+    /// Touches no scheduler state. A detector panic is caught and
+    /// degrades the pair to [`Detector::ConservativePanic`], and the
+    /// `sched::pair` fault-injection site fires here.
     pub fn run(&self, deadline: &Deadline) -> Verdict {
-        decide_pair_at(
-            &self.a,
-            self.ia.as_ref(),
-            &self.b,
-            self.ib.as_ref(),
-            &self.cfg,
-            deadline,
-        )
+        let t0 = std::time::Instant::now();
+        // `Op`, `OpInfo` and `SchedConfig` are plain data (no interior
+        // mutability), and the deadline's poll counter is at worst stale
+        // after an unwind, so observing them across the catch is safe.
+        let verdict = catch_unwind(AssertUnwindSafe(|| {
+            if failpoints::fire("sched::pair") {
+                return Verdict::conservative(Detector::ConservativeBudget);
+            }
+            analyze_pair_info(
+                &self.a,
+                self.ia.as_ref(),
+                &self.b,
+                self.ib.as_ref(),
+                &self.cfg,
+                deadline,
+            )
+        }))
+        .unwrap_or_else(|_| Verdict::conservative(Detector::ConservativePanic));
+        record_route(verdict);
+        cxu_obs::histogram!("sched.pair_ns").record_since(t0);
+        if cxu_obs::trace::enabled() {
+            cxu_obs::trace::event(
+                "sched.pair",
+                &[
+                    ("route", verdict.detector.name().into()),
+                    ("conflict", verdict.conflict.into()),
+                ],
+            );
+        }
+        verdict
     }
+}
+
+/// Runs a batch's tasks over up to `jobs` scoped threads, handed out
+/// through an atomic cursor so a stray expensive NP-side pair cannot
+/// idle the other workers behind a fixed chunking. Each task stops at
+/// the earlier of `deadline` and its own `pair_deadline` slice. The
+/// verdicts come back in task order.
+fn run_tasks(tasks: &[Box<PairTask>], jobs: usize, deadline: &Deadline) -> Vec<Verdict> {
+    let run =
+        |task: &PairTask, deadline: &Deadline| task.run(&deadline.capped(task.cfg.pair_deadline));
+    let jobs = jobs.max(1).min(tasks.len());
+    if jobs <= 1 {
+        return tasks.iter().map(|task| run(task, deadline)).collect();
+    }
+    let cursor = AtomicUsize::new(0);
+    let results: Mutex<Vec<(usize, Verdict)>> = Mutex::new(Vec::with_capacity(tasks.len()));
+    std::thread::scope(|scope| {
+        for _ in 0..jobs {
+            // A deadline handle is not `Sync`: each worker takes its own.
+            let deadline = deadline.clone();
+            let (cursor, results) = (&cursor, &results);
+            scope.spawn(move || {
+                let mut local = Vec::new();
+                loop {
+                    let i = cursor.fetch_add(1, Ordering::Relaxed);
+                    let Some(task) = tasks.get(i) else {
+                        break;
+                    };
+                    local.push((i, run(task, &deadline)));
+                }
+                results
+                    .lock()
+                    .unwrap_or_else(|e| e.into_inner())
+                    .extend(local);
+            });
+        }
+    });
+    let mut done = results.into_inner().unwrap_or_else(|e| e.into_inner());
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, v)| v).collect()
 }
 
 /// The result of analyzing one batch.
@@ -280,17 +282,15 @@ impl Scheduler {
     /// was computed under*: a `ConservativeBudget` verdict reached with
     /// `np_max_trees = 10` must not survive a raise to 200 000, or the
     /// pair stays frozen conservative forever. If any verdict-affecting
-    /// field changes (`semantics`, `np_max_nodes`, `np_max_trees`,
-    /// `trust_bounded_search`), the cache is flushed and the next batch
-    /// re-analyzes; resource-envelope fields (`jobs`, `pair_deadline`,
-    /// `catch_panics`) never reach a memoized verdict — deadline and
-    /// panic degradations are excluded from the cache — so changing
-    /// them keeps it.
+    /// field changes (`semantics`, `np_max_nodes`, `np_max_trees`), the
+    /// cache is flushed and the next batch re-analyzes; resource-envelope
+    /// fields (`jobs`, `pair_deadline`) never reach a memoized verdict —
+    /// deadline and panic degradations are excluded from the cache — so
+    /// changing them keeps it.
     pub fn set_config(&mut self, cfg: SchedConfig) {
         let invalidates = self.cfg.semantics != cfg.semantics
             || self.cfg.np_max_nodes != cfg.np_max_nodes
-            || self.cfg.np_max_trees != cfg.np_max_trees
-            || self.cfg.trust_bounded_search != cfg.trust_bounded_search;
+            || self.cfg.np_max_trees != cfg.np_max_trees;
         if invalidates && !self.cache.is_empty() {
             cxu_obs::counter!("sched.cache.invalidate").add(self.cache.len() as u64);
             cxu_obs::trace::event(
@@ -311,7 +311,7 @@ impl Scheduler {
     /// hot path (`check` route): no graph, no rounds, no thread fan-out,
     /// just interner + memo cache + one detector invocation.
     ///
-    /// Cache discipline matches the batch path exactly: every
+    /// The batch path's lookup → task → commit, for one pair: every
     /// non-trivial pair costs one `sched.cache.lookups`; hits are served
     /// from memory; misses run the sound pre-filter, then the detectors;
     /// exact and budget verdicts are memoized while transient
@@ -342,13 +342,18 @@ impl Scheduler {
     pub fn lookup_pair(&mut self, a: &Op, b: &Op) -> PairLookup {
         let ka = self.interner.intern_op(a);
         let kb = self.interner.intern_op(b);
-        // Identical keys commute with themselves; reads never conflict.
+        self.lookup(ka, kb, a, b)
+    }
+
+    /// [`Scheduler::lookup_pair`] for two ops already interned as `ka`
+    /// and `kb`.
+    fn lookup(&mut self, ka: OpKey, kb: OpKey, a: &Op, b: &Op) -> PairLookup {
+        // Identical keys commute with themselves (both orders are the
+        // same sequence), and reads never conflict: no detector or cache
+        // entry needed.
         if ka == kb || (!a.is_update() && !b.is_update()) {
             return PairLookup::Ready(PairDecision {
-                verdict: Verdict {
-                    conflict: false,
-                    detector: Detector::Trivial,
-                },
+                verdict: Verdict::trivial(),
                 cached: false,
             });
         }
@@ -409,19 +414,18 @@ impl Scheduler {
 
     /// Analyzes a batch and schedules it into conflict-free rounds.
     pub fn run(&mut self, ops: &[Op]) -> BatchResult {
-        self.run_inner(ops, None)
+        self.run_until(ops, &Deadline::never())
     }
 
-    /// [`Scheduler::run`] with a cancellation token. Cancelling mid-batch
-    /// makes the remaining undecided pairs degrade to conservative
-    /// conflicts ([`Detector::ConservativeDeadline`]); the batch still
-    /// completes with a valid (more serial) schedule.
-    pub fn run_with_cancel(&mut self, ops: &[Op], cancel: &CancelToken) -> BatchResult {
-        self.run_inner(ops, Some(cancel))
-    }
-
-    fn run_inner(&mut self, ops: &[Op], cancel: Option<&CancelToken>) -> BatchResult {
-        let (graph, mut stats) = self.analyze_inner(ops, cancel);
+    /// [`Scheduler::run`] under a batch deadline: each pair's analysis
+    /// stops at the earlier of `deadline` and its
+    /// [`SchedConfig::pair_deadline`] slice, so the batch ends close to
+    /// `deadline`. A pair cut short — by the clock or by the deadline's
+    /// cancel token — degrades to a conservative conflict
+    /// ([`Detector::ConservativeDeadline`]); the batch still completes
+    /// with a valid (more serial) schedule.
+    pub fn run_until(&mut self, ops: &[Op], deadline: &Deadline) -> BatchResult {
+        let (graph, mut stats) = self.analyze_inner(ops, deadline);
         let t0 = std::time::Instant::now();
         let round_span = cxu_obs::span("sched.rounds");
         let sched = schedule(&graph);
@@ -458,17 +462,13 @@ impl Scheduler {
         self.run(&ops_of_program(p))
     }
 
-    /// Builds the conflict graph for a batch: intern every op, decide
-    /// every pair (cache first, parallel detectors for the rest).
+    /// Builds the conflict graph for a batch: intern every op, look
+    /// every pair up, run the distinct misses in parallel, commit.
     pub fn analyze(&mut self, ops: &[Op]) -> (ConflictGraph, SchedStats) {
-        self.analyze_inner(ops, None)
+        self.analyze_inner(ops, &Deadline::never())
     }
 
-    fn analyze_inner(
-        &mut self,
-        ops: &[Op],
-        cancel: Option<&CancelToken>,
-    ) -> (ConflictGraph, SchedStats) {
+    fn analyze_inner(&mut self, ops: &[Op], deadline: &Deadline) -> (ConflictGraph, SchedStats) {
         let n = ops.len();
         let t0 = std::time::Instant::now();
         let analyze_span = cxu_obs::span("sched.analyze");
@@ -479,121 +479,72 @@ impl Scheduler {
             ..SchedStats::default()
         };
 
+        // One intern (and compile-cache probe) per op, not per pair.
         let keys: Vec<OpKey> = ops.iter().map(|op| self.interner.intern_op(op)).collect();
         stats.distinct_shapes = self.interner.distinct_patterns();
 
-        // Partition the pairs: trivially independent, memoized, or new.
-        // Each *distinct* new PairKey is analyzed exactly once; repeats
-        // inside the batch count as cache hits just like cross-batch
-        // repeats — that is the memoization the interner buys.
-        let mut trivial: Vec<(usize, usize, Verdict)> = Vec::new();
-        let mut cached: Vec<(usize, usize, PairKey)> = Vec::new();
-        let mut fresh: Vec<PairKey> = Vec::new();
-        let mut fresh_seen: HashMap<PairKey, ()> = HashMap::new();
-        let mut prefiltered: Vec<(PairKey, Verdict)> = Vec::new();
-        let mut pending: Vec<(usize, usize, PairKey)> = Vec::new();
+        // Look every pair up. Trivial pairs, cache hits and pre-filtered
+        // misses come back decided; each distinct remaining key becomes
+        // one task. A later occurrence of a queued key is served by that
+        // task's verdict, so it counts as a cache hit, like a repeat of
+        // a memoized one — across any run, lookups = hits + misses and
+        // misses = pairs analyzed + pairs prefiltered.
+        let mut edges: Vec<Edge> = Vec::with_capacity(stats.pairs_total);
+        let mut tasks: Vec<Box<PairTask>> = Vec::new();
+        let mut queued: HashMap<PairKey, usize> = HashMap::new();
+        // (a, b, task index, cached): only a task's first edge paid for
+        // its analysis.
+        let mut pending: Vec<(usize, usize, usize, bool)> = Vec::new();
         for a in 0..n {
             for b in a + 1..n {
-                let (ka, kb) = (keys[a], keys[b]);
-                // Identical keys commute with themselves (both orders are
-                // the same sequence), and reads never conflict: no
-                // detector or cache entry needed.
-                if ka == kb || (!ops[a].is_update() && !ops[b].is_update()) {
-                    trivial.push((
-                        a,
-                        b,
-                        Verdict {
-                            conflict: false,
-                            detector: Detector::Trivial,
-                        },
-                    ));
+                if let Some(&t) = queued.get(&PairKey::new(keys[a], keys[b])) {
+                    cxu_obs::counter!("sched.cache.lookups").inc();
+                    cxu_obs::counter!("sched.cache.hits").inc();
+                    stats.cache_hits += 1;
+                    pending.push((a, b, t, true));
                     continue;
                 }
-                let pk = PairKey::new(ka, kb);
-                // Every non-trivial pair costs one memo lookup; it is a
-                // hit when served from memory (a previous batch, or an
-                // earlier occurrence in this one) and a miss only when
-                // it triggers a fresh analysis or a pre-filter skip — so
-                // across any run, lookups = hits + misses and misses =
-                // pairs analyzed + pairs prefiltered.
-                cxu_obs::counter!("sched.cache.lookups").inc();
-                if self.cache.contains_key(&pk) {
-                    cxu_obs::counter!("sched.cache.hits").inc();
-                    cached.push((a, b, pk));
-                } else {
-                    if fresh_seen.insert(pk, ()).is_none() {
-                        cxu_obs::counter!("sched.cache.misses").inc();
-                        // Sound batch pre-filter: intern-time summaries
-                        // that provably preclude any embedding overlap
-                        // discharge the pair with no detector at all.
-                        let (ia, ib) = (self.interner.info(ka), self.interner.info(kb));
-                        if let Some(v) = prefilter(&ops[a], ia, &ops[b], ib, self.cfg.semantics) {
-                            stats.prefilter_skips += 1;
-                            prefiltered.push((pk, v));
+                match self.lookup(keys[a], keys[b], &ops[a], &ops[b]) {
+                    PairLookup::Ready(d) => {
+                        if d.cached {
+                            stats.cache_hits += 1;
+                        } else if d.verdict.detector == Detector::Trivial {
+                            stats.trivial += 1;
                         } else {
-                            fresh.push(pk);
+                            stats.prefilter_skips += 1;
                         }
-                    } else {
-                        cxu_obs::counter!("sched.cache.hits").inc();
-                        stats.cache_hits += 1; // batch-local repeat
+                        edges.push(Edge {
+                            a,
+                            b,
+                            verdict: d.verdict,
+                            cached: d.cached,
+                        });
                     }
-                    pending.push((a, b, pk));
+                    PairLookup::Miss(task) => {
+                        queued.insert(task.key(), tasks.len());
+                        pending.push((a, b, tasks.len(), false));
+                        tasks.push(task);
+                    }
                 }
             }
         }
-        stats.trivial = trivial.len();
-        stats.cache_hits += cached.len();
-        stats.pairs_analyzed = fresh.len();
+        stats.pairs_analyzed = tasks.len();
 
-        // Decide the distinct new pairs in parallel. Transient
-        // degradations (expired deadline, cancellation, detector panic)
-        // are *not* memoized — they reflect this batch's resource
-        // envelope, not the pair itself, so a later batch retries them.
-        // Pre-filter verdicts ARE memoized: they are exact properties of
-        // the pair shape (under the current semantics, and a semantics
-        // change flushes the cache via `set_config`).
-        let mut decided: HashMap<PairKey, Verdict> = HashMap::new();
-        for (pk, v) in prefiltered {
-            self.cache.insert(pk, v);
-            decided.insert(pk, v);
-        }
-        for (pk, v) in self.analyze_fresh(&fresh, cancel) {
-            if matches!(
-                v.detector,
-                Detector::ConservativeDeadline | Detector::ConservativePanic
-            ) {
-                cxu_obs::counter!("sched.cache.skips").inc();
-            } else {
-                self.cache.insert(pk, v);
-            }
-            decided.insert(pk, v);
-        }
-
-        // Assemble edges and detector counters.
-        let mut edges: Vec<Edge> = Vec::with_capacity(stats.pairs_total);
-        for (a, b, verdict) in trivial {
+        // Commit in task order. Transient degradations (expired
+        // deadline, cancellation, detector panic) are not memoized — they
+        // reflect this batch's resource envelope, not the pair itself —
+        // but still decide this batch's edges.
+        let verdicts: Vec<Verdict> = run_tasks(&tasks, self.cfg.jobs, deadline)
+            .into_iter()
+            .zip(&tasks)
+            .map(|(verdict, task)| self.commit_pair(task.key(), verdict))
+            .collect();
+        for (a, b, t, cached) in pending {
             edges.push(Edge {
                 a,
                 b,
-                verdict,
-                cached: false,
-            });
-        }
-        let mut first_use: HashMap<PairKey, ()> = HashMap::new();
-        for (a, b, pk) in cached.into_iter().chain(pending) {
-            let verdict = match decided.get(&pk) {
-                Some(&v) => v,
-                None => self.cache[&pk],
-            };
-            // The first batch occurrence of a freshly computed key is the
-            // one that paid for the analysis; everything else was served
-            // from memory.
-            let cached_hit = !fresh_seen.contains_key(&pk) || first_use.insert(pk, ()).is_some();
-            edges.push(Edge {
-                a,
-                b,
-                verdict,
-                cached: cached_hit,
+                verdict: verdicts[t],
+                cached,
             });
         }
         edges.sort_unstable_by_key(|e| (e.a, e.b));
@@ -636,76 +587,6 @@ impl Scheduler {
         ]);
 
         (ConflictGraph::new(n, edges), stats)
-    }
-
-    /// Runs the detectors for each distinct pair key, fanned out over
-    /// `cfg.jobs` scoped threads. Work is handed out through an atomic
-    /// cursor so a stray expensive NP-side pair cannot idle the other
-    /// workers behind a fixed chunking.
-    fn analyze_fresh(
-        &self,
-        fresh: &[PairKey],
-        cancel: Option<&CancelToken>,
-    ) -> Vec<(PairKey, Verdict)> {
-        let jobs = self.cfg.jobs.max(1).min(fresh.len().max(1));
-        type WorkItem<'s> = (
-            PairKey,
-            &'s Op,
-            Option<&'s OpInfo>,
-            &'s Op,
-            Option<&'s OpInfo>,
-        );
-        let work: Vec<WorkItem<'_>> = fresh
-            .iter()
-            .map(|&pk| {
-                let a = self
-                    .interner
-                    .representative(pk.lo)
-                    .expect("interned before analysis");
-                let b = self
-                    .interner
-                    .representative(pk.hi)
-                    .expect("interned before analysis");
-                (
-                    pk,
-                    a,
-                    self.interner.info(pk.lo),
-                    b,
-                    self.interner.info(pk.hi),
-                )
-            })
-            .collect();
-        if jobs <= 1 || work.len() <= 1 {
-            return work
-                .into_iter()
-                .map(|(pk, a, ia, b, ib)| (pk, decide_pair(a, ia, b, ib, &self.cfg, cancel)))
-                .collect();
-        }
-        let cursor = AtomicUsize::new(0);
-        let results: Mutex<Vec<(PairKey, Verdict)>> = Mutex::new(Vec::with_capacity(work.len()));
-        std::thread::scope(|scope| {
-            for _ in 0..jobs {
-                let cursor = &cursor;
-                let results = &results;
-                let work = &work;
-                let cfg = &self.cfg;
-                scope.spawn(move || {
-                    let mut local = Vec::new();
-                    loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        let Some(&(pk, a, ia, b, ib)) = work.get(i) else {
-                            break;
-                        };
-                        local.push((pk, decide_pair(a, ia, b, ib, cfg, cancel)));
-                    }
-                    results
-                        .lock()
-                        .unwrap_or_else(|e| e.into_inner())
-                        .extend(local);
-                });
-            }
-        });
-        results.into_inner().unwrap_or_else(|e| e.into_inner())
     }
 }
 
@@ -869,7 +750,7 @@ mod tests {
             ..SchedConfig::default()
         };
         let mut s = Scheduler::new(cfg);
-        let out = s.run_with_cancel(&ops, &token);
+        let out = s.run_until(&ops, &Deadline::never().with_token(&token));
         assert_eq!(out.stats.degraded_deadline, 1);
         assert!(out.graph.conflict(0, 1), "degraded pair must stay ordered");
         // Without the token the same pair is decided exactly.

@@ -211,16 +211,36 @@ pub struct OpInfo {
     pub linear: bool,
 }
 
-/// Hash-consing interner for pattern and payload shapes. Also keeps one
-/// *representative* [`Op`] per key, so the analysis engine can run
-/// detectors on a concrete operation for any key it encounters, and the
+impl OpInfo {
+    /// Compiles one operation. `None` for a read with a branching
+    /// pattern: it is outside the §4 fragment, the PTIME machinery does
+    /// not apply to it, and it routes to the NP search. Updates always
+    /// compile their spine (Lemmas 4 and 8).
+    pub fn of(op: &Op) -> Option<OpInfo> {
+        let (chain, linear) = match op {
+            Op::Read(r) if r.pattern().is_linear() => (matching::compile(r.pattern()), true),
+            Op::Read(_) => return None,
+            Op::Update(u) => (
+                matching::compile_spine(u.pattern()),
+                u.pattern().is_linear(),
+            ),
+        };
+        let summary = chain.summary();
+        Some(OpInfo {
+            chain,
+            summary,
+            linear,
+        })
+    }
+}
+
+/// Hash-consing interner for pattern and payload shapes. Also keeps the
 /// compiled-automaton cache ([`OpInfo`]): a pattern appearing in k pairs
 /// is compiled once, not k times.
 #[derive(Default)]
 pub struct Interner {
     patterns: HashMap<String, PatternId>,
     trees: HashMap<String, TreeId>,
-    reps: HashMap<OpKey, Op>,
     /// `None` = the op is a read with a branching pattern (uncompilable:
     /// the PTIME machinery does not apply to it).
     infos: HashMap<OpKey, Option<OpInfo>>,
@@ -264,8 +284,7 @@ impl Interner {
         }
     }
 
-    /// Interns an operation, remembering it as the representative for
-    /// its key if the key is new.
+    /// Interns an operation, compiling it if its key is new.
     pub fn intern_op(&mut self, op: &Op) -> OpKey {
         let key = match op {
             Op::Read(r) => OpKey {
@@ -284,34 +303,9 @@ impl Interner {
                 payload: None,
             },
         };
-        self.reps.entry(key).or_insert_with(|| op.clone());
         if let Entry::Vacant(slot) = self.infos.entry(key) {
             cxu_obs::counter!("automata.compile.miss").inc();
-            let info = match op {
-                // Reads compile only when linear — a branching read is
-                // outside the §4 fragment and routes to the NP search.
-                Op::Read(r) if r.pattern().is_linear() => {
-                    let chain = matching::compile(r.pattern());
-                    let summary = chain.summary();
-                    Some(OpInfo {
-                        chain,
-                        summary,
-                        linear: true,
-                    })
-                }
-                Op::Read(_) => None,
-                // Updates always compile their spine (Lemmas 4 and 8).
-                Op::Update(u) => {
-                    let chain = matching::compile_spine(u.pattern());
-                    let summary = chain.summary();
-                    Some(OpInfo {
-                        chain,
-                        summary,
-                        linear: u.pattern().is_linear(),
-                    })
-                }
-            };
-            slot.insert(info);
+            slot.insert(OpInfo::of(op));
         } else {
             cxu_obs::counter!("automata.compile.hit").inc();
         }
@@ -322,11 +316,6 @@ impl Interner {
     /// never interned. Inner `None`: branching read, uncompilable.
     pub fn info(&self, key: OpKey) -> Option<&OpInfo> {
         self.infos.get(&key).and_then(|i| i.as_ref())
-    }
-
-    /// The representative operation for a key interned earlier.
-    pub fn representative(&self, key: OpKey) -> Option<&Op> {
-        self.reps.get(&key)
     }
 
     /// Number of distinct pattern shapes seen.
@@ -386,7 +375,6 @@ mod tests {
         let k2 = it.intern_op(&r2);
         assert_eq!(k1, k2);
         assert_eq!(it.distinct_patterns(), 1);
-        assert!(it.representative(k1).is_some());
     }
 
     #[test]

@@ -16,9 +16,10 @@
 //!    decided once: PTIME detectors when applicable (§4 read–update for
 //!    linear reads, §6 linear update–update), bounded NP-side witness
 //!    search otherwise (§5, Lemma 11), conservative conflict when the
-//!    budget runs out. Verdicts are memoized across batches
-//!    ([`engine::Scheduler`]); distinct new pairs fan out over
-//!    `std::thread::scope` workers.
+//!    budget runs out. Every pair, batched or single, is decided by
+//!    lookup → task → commit ([`engine::Scheduler`]): verdicts are
+//!    memoized across batches, and a batch's distinct misses run as
+//!    [`PairTask`]s over `std::thread::scope` workers.
 //! 3. **Conflict graph** ([`graph`]) — every pair recorded with its
 //!    verdict, deciding detector, and cache provenance; Graphviz export.
 //! 4. **Rounds** ([`rounds`]) — ASAP greedy coloring preserving the
@@ -50,10 +51,7 @@ pub use engine::{BatchResult, PairDecision, PairLookup, PairTask, Scheduler};
 pub use graph::{ConflictGraph, Edge};
 pub use intern::{op_route_hash, pair_route_hash, OpInfo, PairKey};
 pub use op::{ops_of_program, Op};
-pub use pairwise::{
-    analyze_pair, analyze_pair_deadline, analyze_pair_info, prefilter_no_conflict, Detector,
-    Verdict,
-};
+pub use pairwise::{analyze_pair, analyze_pair_deadline, prefilter_no_conflict, Detector, Verdict};
 pub use rounds::{schedule, Schedule};
 
 use cxu_ops::Semantics;
@@ -74,22 +72,12 @@ pub struct SchedConfig {
     pub np_max_nodes: usize,
     /// NP-side budget: maximum candidate trees enumerated per search.
     pub np_max_trees: u128,
-    /// Trust "no witness within budget" answers from the *update–update*
-    /// bounded search as non-conflicts. Off by default: unlike the
-    /// read–update side (Lemma 11), there is no completeness bound, so
-    /// trusting it trades soundness for parallelism.
-    pub trust_bounded_search: bool,
-    /// Per-pair time slice for the NP-side searches. A pair whose
-    /// analysis outlives its slice degrades to a *conservative conflict*
+    /// Per-pair time slice for a batch's NP-side searches. A pair whose
+    /// analysis outlives its slice (or the batch's own deadline, see
+    /// [`Scheduler::run_until`]) degrades to a *conservative conflict*
     /// ([`pairwise::Detector::ConservativeDeadline`]) instead of
     /// stalling the batch. `None` (the default) runs unbounded.
     pub pair_deadline: Option<Duration>,
-    /// Isolate detector panics: a pair whose analysis panics degrades to
-    /// a conservative conflict
-    /// ([`pairwise::Detector::ConservativePanic`]) instead of tearing
-    /// down the scheduler. On by default; disable to let panics
-    /// propagate (e.g. under a debugger).
-    pub catch_panics: bool,
 }
 
 impl Default for SchedConfig {
@@ -101,9 +89,7 @@ impl Default for SchedConfig {
                 .unwrap_or(1),
             np_max_nodes: 5,
             np_max_trees: 200_000,
-            trust_bounded_search: false,
             pair_deadline: None,
-            catch_panics: true,
         }
     }
 }

@@ -17,9 +17,9 @@
 //!   are conservatively conflicts.
 //! * **update–update, branching** — bounded witness search
 //!   ([`cxu_core::update_update::find_noncommuting_witness`]). A found
-//!   witness is a definite conflict; "no witness within budget" is only
-//!   trusted when [`SchedConfig::trust_bounded_search`] is set (there is
-//!   no Lemma 11 analogue for update pairs), otherwise conservative.
+//!   witness is a definite conflict; "no witness within budget" is never
+//!   trusted (there is no Lemma 11 analogue for update pairs), so it is
+//!   conservative.
 //!
 //! A pair is scheduled concurrently **only** when its verdict is a
 //! proven non-conflict, so every conservative answer costs parallelism,
@@ -30,9 +30,7 @@ use crate::op::Op;
 use crate::SchedConfig;
 use cxu_automata::compiled::rigid_clash;
 use cxu_core::update_update::{find_noncommuting_witness_deadline, Budget as UuBudget, Outcome};
-use cxu_core::update_update_linear::{
-    commutativity_deadline, commutativity_deadline_compiled, Commutativity,
-};
+use cxu_core::update_update_linear::{commutativity_deadline_compiled, Commutativity};
 use cxu_core::{brute, detect};
 use cxu_ops::{Read, Semantics, Update};
 use cxu_runtime::Deadline;
@@ -111,7 +109,7 @@ pub struct Verdict {
 }
 
 impl Verdict {
-    fn trivial() -> Verdict {
+    pub(crate) fn trivial() -> Verdict {
         Verdict {
             conflict: false,
             detector: Detector::Trivial,
@@ -139,16 +137,14 @@ pub fn analyze_pair(a: &Op, b: &Op, cfg: &SchedConfig) -> Verdict {
 /// [`Detector::ConservativeDeadline`]. The PTIME routes never degrade —
 /// they finish long before any reasonable slice.
 pub fn analyze_pair_deadline(a: &Op, b: &Op, cfg: &SchedConfig, deadline: &Deadline) -> Verdict {
-    analyze_pair_info(a, None, b, None, cfg, deadline)
+    let (ia, ib) = (OpInfo::of(a), OpInfo::of(b));
+    analyze_pair_info(a, ia.as_ref(), b, ib.as_ref(), cfg, deadline)
 }
 
-/// [`analyze_pair_deadline`] with the interner's cached compiled forms.
-/// When the relevant chains are available the PTIME routes run on the
-/// bitset product directly — no per-pair pattern lowering; with `None`
-/// infos the legacy per-call paths are used. Verdicts are identical
-/// either way (the compiled matcher is cross-validated against the NFA
-/// oracle in `core::matching` and `automata/tests/compiled.rs`).
-pub fn analyze_pair_info(
+/// [`analyze_pair_deadline`] over compiled forms ([`OpInfo::of`], or the
+/// interner's cached copies): the PTIME routes run on the bitset product
+/// directly, with no per-pair pattern lowering.
+pub(crate) fn analyze_pair_info(
     a: &Op,
     ia: Option<&OpInfo>,
     b: &Op,
@@ -158,10 +154,16 @@ pub fn analyze_pair_info(
 ) -> Verdict {
     match (a, b) {
         (Op::Read(_), Op::Read(_)) => Verdict::trivial(),
-        (Op::Read(r), Op::Update(u)) => read_update_info(r, ia, u, ib, cfg, deadline),
-        (Op::Update(u), Op::Read(r)) => read_update_info(r, ib, u, ia, cfg, deadline),
-        (Op::Update(u1), Op::Update(u2)) => update_update_info(u1, ia, u2, ib, cfg, deadline),
+        (Op::Read(r), Op::Update(u)) => read_update(r, ia, u, spine(ib), cfg, deadline),
+        (Op::Update(u), Op::Read(r)) => read_update(r, ib, u, spine(ia), cfg, deadline),
+        (Op::Update(u1), Op::Update(u2)) => {
+            update_update(u1, spine(ia), u2, spine(ib), cfg, deadline)
+        }
     }
+}
+
+fn spine(info: Option<&OpInfo>) -> &OpInfo {
+    info.expect("an update always compiles its spine")
 }
 
 /// Can the pair be skipped without running **any** detector? Sound: a
@@ -223,65 +225,20 @@ fn read_update_prefilter(read: Option<&OpInfo>, upd: Option<&OpInfo>, sem: Seman
     sem == Semantics::Node && r.summary.is_rigid() && r.summary.min_depth < u.summary.min_depth
 }
 
-fn read_update_info(
+/// A linear read (it has a compiled chain) takes the §4 PTIME detector;
+/// a branching one the Lemma 11 bounded search, exact when it finishes.
+fn read_update(
     r: &Read,
     ri: Option<&OpInfo>,
     u: &Update,
-    ui: Option<&OpInfo>,
+    ui: &OpInfo,
     cfg: &SchedConfig,
     deadline: &Deadline,
 ) -> Verdict {
-    if let (Some(ri), Some(ui)) = (ri, ui) {
+    if let Some(ri) = ri {
         let conflict =
             detect::read_update_conflict_compiled(r, &ri.chain, u, &ui.chain, cfg.semantics)
                 .expect("a read's compiled info implies a linear read");
-        return Verdict {
-            conflict,
-            detector: Detector::PtimeLinearRead,
-        };
-    }
-    read_update(r, u, cfg, deadline)
-}
-
-fn update_update_info(
-    u1: &Update,
-    i1: Option<&OpInfo>,
-    u2: &Update,
-    i2: Option<&OpInfo>,
-    cfg: &SchedConfig,
-    deadline: &Deadline,
-) -> Verdict {
-    if let (Some(i1), Some(i2)) = (i1, i2) {
-        if i1.linear && i2.linear {
-            let budget = UuBudget {
-                max_nodes: cfg.np_max_nodes,
-                max_trees: cfg.np_max_trees,
-            };
-            let c = commutativity_deadline_compiled(u1, u2, &i1.chain, &i2.chain, budget, deadline)
-                .expect("linearity checked via OpInfo");
-            return match c {
-                Commutativity::Commute => Verdict {
-                    conflict: false,
-                    detector: Detector::PtimeLinearUpdates,
-                },
-                Commutativity::Conflict(_) => Verdict {
-                    conflict: true,
-                    detector: Detector::PtimeLinearUpdates,
-                },
-                Commutativity::Unknown => Verdict::conservative(Detector::ConservativeUndecided),
-                Commutativity::DeadlineExceeded => {
-                    Verdict::conservative(Detector::ConservativeDeadline)
-                }
-            };
-        }
-    }
-    update_update(u1, u2, cfg, deadline)
-}
-
-fn read_update(r: &Read, u: &Update, cfg: &SchedConfig, deadline: &Deadline) -> Verdict {
-    if r.pattern().is_linear() {
-        let conflict =
-            detect::read_update_conflict(r, u, cfg.semantics).expect("linearity checked");
         return Verdict {
             conflict,
             detector: Detector::PtimeLinearRead,
@@ -306,12 +263,24 @@ fn read_update(r: &Read, u: &Update, cfg: &SchedConfig, deadline: &Deadline) -> 
     }
 }
 
-fn update_update(u1: &Update, u2: &Update, cfg: &SchedConfig, deadline: &Deadline) -> Verdict {
+/// Every update pair enters the §6 analysis, which answers `None` for a
+/// branching pair before it reads the chains (so passing a branching
+/// update's spine chain is harmless); those fall back to the bounded
+/// witness search.
+fn update_update(
+    u1: &Update,
+    i1: &OpInfo,
+    u2: &Update,
+    i2: &OpInfo,
+    cfg: &SchedConfig,
+    deadline: &Deadline,
+) -> Verdict {
     let budget = UuBudget {
         max_nodes: cfg.np_max_nodes,
         max_trees: cfg.np_max_trees,
     };
-    if let Some(c) = commutativity_deadline(u1, u2, budget, deadline) {
+    if let Some(c) = commutativity_deadline_compiled(u1, u2, &i1.chain, &i2.chain, budget, deadline)
+    {
         return match c {
             Commutativity::Commute => Verdict {
                 conflict: false,
@@ -327,18 +296,13 @@ fn update_update(u1: &Update, u2: &Update, cfg: &SchedConfig, deadline: &Deadlin
             }
         };
     }
-    // Branching selection patterns: bounded search only.
     match find_noncommuting_witness_deadline(u1, u2, budget, deadline) {
         Outcome::Conflict(_) => Verdict {
             conflict: true,
             detector: Detector::WitnessSearch,
         },
-        Outcome::NoConflictWithin(_) if cfg.trust_bounded_search => Verdict {
-            conflict: false,
-            detector: Detector::WitnessSearch,
-        },
-        // "No witness within budget" without trust: undecidable route,
-        // not a resource failure.
+        // "No witness within budget" proves nothing for an update pair:
+        // an undecidable route, not a resource failure.
         Outcome::NoConflictWithin(_) => Verdict::conservative(Detector::ConservativeUndecided),
         Outcome::BudgetExceeded(_) => Verdict::conservative(Detector::ConservativeBudget),
         Outcome::DeadlineExceeded => Verdict::conservative(Detector::ConservativeDeadline),
@@ -484,15 +448,10 @@ mod tests {
         let v = analyze_pair(&ins("a/b[q]", "c"), &ins("a/b/c", "z"), &cfg());
         assert_eq!(v.detector, Detector::WitnessSearch);
         assert!(v.conflict);
-        // A commuting-looking pair is conservative by default…
+        // A commuting-looking pair stays conservative: "no witness
+        // within budget" is never trusted for an update pair.
         let v2 = analyze_pair(&ins("a/b[q]", "c"), &del("a/z/w"), &cfg());
         assert_eq!(v2.detector, Detector::ConservativeUndecided);
         assert!(v2.conflict);
-        // …and trusted only on request.
-        let mut c = cfg();
-        c.trust_bounded_search = true;
-        let v3 = analyze_pair(&ins("a/b[q]", "c"), &del("a/z/w"), &c);
-        assert_eq!(v3.detector, Detector::WitnessSearch);
-        assert!(!v3.conflict);
     }
 }

@@ -28,7 +28,10 @@
 //! brief `try_lock` on the home shard — no queue round-trip); other
 //! misses are queued to the home shard, where the
 //! detector runs with **no scheduler lock held**
-//! ([`cxu_sched::PairTask`]) and only the commit re-takes it. Idle
+//! ([`cxu_sched::PairTask`]) and only the commit re-takes it; the
+//! store's merge and transaction pair checks take the same path
+//! (`Shard::decide`). Only a `schedule` batch runs its detectors under
+//! the home shard's lock. Idle
 //! shard workers steal queued jobs from other shards, committing stolen
 //! verdicts back to the home shard's cache, so one NP-side straggler
 //! can't head-of-line-block its shard.
@@ -63,7 +66,7 @@ use crate::shard::{Job, PushError, RespCell, ShardSet};
 use cxu_gen::wire::TxnWire;
 use cxu_obs::Registry;
 use cxu_runtime::{failpoints, Deadline};
-use cxu_sched::{Op, PairDecision, PairLookup, SchedConfig, Scheduler};
+use cxu_sched::{Op, PairLookup, SchedConfig, Scheduler};
 use cxu_store::{DurabilityConfig, FsyncPolicy, Store, StoreConfig, StoreError};
 use cxu_txn::Txn;
 use std::collections::VecDeque;
@@ -97,7 +100,8 @@ pub struct ServeConfig {
     /// `deadline_ms`). `None` runs unbounded.
     pub default_deadline: Option<Duration>,
     /// Base scheduler configuration. `semantics` is overridden per
-    /// request; `pair_deadline` is derived from the request deadline.
+    /// request; a `schedule` batch's pairs stop at the request deadline
+    /// or at `pair_deadline`, whichever comes first.
     pub sched: SchedConfig,
     /// Document store configuration (admission bound, merge retries).
     pub store: StoreConfig,
@@ -586,57 +590,27 @@ fn process_job(shared: &Shared, job: &Job) -> String {
             None => Deadline::never(),
         };
         let home = shared.shards.get(job.home);
+        let sem = job.req.semantics;
         // How the store's write path consults the routed detectors for a
-        // stale `doc_put` or `txn`: each pair takes the home shard's
-        // scheduler lock for exactly one `check_pair` (the store holds
-        // no lock of its own while this closure runs).
-        let mut check =
-            |a: &Op, b: &Op| lock(home.sched(job.req.semantics)).check_pair(a, b, &deadline);
+        // stale `doc_put` or `txn` (the store holds no lock of its own
+        // while this closure runs).
+        let mut check = |a: &Op, b: &Op| home.decide(sem, a, b, &deadline);
         match &job.req.route {
             Route::Check { a, b } => {
-                let d = if let Some(task) = &job.prepared {
-                    // The IO loop already interned the pair and missed:
-                    // run the detector with no scheduler lock held, then
-                    // commit to the home shard (first writer wins).
-                    let verdict = task.run(&deadline);
-                    let verdict =
-                        lock(home.sched(job.req.semantics)).commit_pair(task.key(), verdict);
-                    PairDecision {
-                        verdict,
-                        cached: false,
-                    }
-                } else {
-                    let mut sched = lock(home.sched(job.req.semantics));
-                    match sched.lookup_pair(a, b) {
-                        PairLookup::Ready(d) => d,
-                        PairLookup::Miss(task) => {
-                            drop(sched);
-                            let verdict = task.run(&deadline);
-                            let verdict = lock(home.sched(job.req.semantics))
-                                .commit_pair(task.key(), verdict);
-                            PairDecision {
-                                verdict,
-                                cached: false,
-                            }
-                        }
-                    }
+                // A task means the IO loop already looked the pair up
+                // and missed.
+                let d = match &job.prepared {
+                    Some(task) => home.finish(sem, task, &deadline),
+                    None => home.decide(sem, a, b, &deadline),
                 };
                 cxu_obs::histogram!("serve.check_ns").record_since(job.received);
                 Ok(proto::render_check(job.req.id, &d))
             }
             Route::Schedule { ops } => {
-                let mut sched = lock(home.sched(job.req.semantics));
-                // Budget the batch with the request's remaining time as
-                // the per-pair slice — a resource-envelope change, so
-                // the memo cache survives (`Scheduler::set_config`).
-                let mut cfg = *sched.config();
-                cfg.pair_deadline = match job.deadline {
-                    Some(at) => Some(at.saturating_duration_since(Instant::now())),
-                    None => shared.cfg.sched.pair_deadline,
-                };
-                sched.set_config(cfg);
-                let out = sched.run(ops);
-                drop(sched);
+                // The batch runs under the home shard's lock; each pair
+                // stops at the request deadline (or its configured
+                // slice, if earlier), so the batch ends near it too.
+                let out = lock(home.sched(sem)).run_until(ops, &deadline);
                 cxu_obs::histogram!("serve.schedule_ns").record_since(job.received);
                 Ok(proto::render_schedule(
                     job.req.id,

@@ -26,7 +26,10 @@ use crate::proto::{Request, Route};
 use crate::server::{lock, WakePipe};
 use cxu_obs::{Counter, Registry};
 use cxu_ops::Semantics;
-use cxu_sched::{op_route_hash, pair_route_hash, PairTask, SchedConfig, Scheduler};
+use cxu_runtime::Deadline;
+use cxu_sched::{
+    op_route_hash, pair_route_hash, Op, PairDecision, PairLookup, PairTask, SchedConfig, Scheduler,
+};
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
@@ -164,6 +167,39 @@ pub(crate) struct Shard {
 impl Shard {
     pub(crate) fn sched(&self, sem: Semantics) -> &Mutex<Scheduler> {
         &self.scheds[sem_index(sem)]
+    }
+
+    /// Decides one pair on a worker: the scheduler lock is held to look
+    /// the pair up and again to commit, never while a detector runs.
+    pub(crate) fn decide(
+        &self,
+        sem: Semantics,
+        a: &Op,
+        b: &Op,
+        deadline: &Deadline,
+    ) -> PairDecision {
+        // Bound first: matching on the locked call would hold the guard
+        // through the match, and `finish` re-takes the lock.
+        let lookup = lock(self.sched(sem)).lookup_pair(a, b);
+        match lookup {
+            PairLookup::Ready(d) => d,
+            PairLookup::Miss(task) => self.finish(sem, &task, deadline),
+        }
+    }
+
+    /// Runs a task that missed this shard's cache, with no lock held,
+    /// and commits its verdict here (first writer wins).
+    pub(crate) fn finish(
+        &self,
+        sem: Semantics,
+        task: &PairTask,
+        deadline: &Deadline,
+    ) -> PairDecision {
+        let verdict = task.run(deadline);
+        PairDecision {
+            verdict: lock(self.sched(sem)).commit_pair(task.key(), verdict),
+            cached: false,
+        }
     }
 }
 

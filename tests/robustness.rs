@@ -124,7 +124,8 @@ fn cancellation_completes_with_conservative_verdicts() {
     for case in 0..50 {
         let p = random_program(&mut rng, &program_params(true));
         let mut s = Scheduler::new(cfg);
-        let out = s.run_with_cancel(&cxu::sched::ops_of_program(&p), &token);
+        let cancelled = Deadline::never().with_token(&token);
+        let out = s.run_until(&cxu::sched::ops_of_program(&p), &cancelled);
         assert_valid_schedule(&out, p.stmts.len(), &format!("case {case}"));
         degraded += out.stats.degraded_deadline;
     }

@@ -21,7 +21,7 @@ use cxu::gen::rng::{Rng, SplitMix64};
 use cxu::gen::trees::{random_tree, TreeParams};
 use cxu::prelude::*;
 use cxu::sched::validate::schedule_preserves_observation;
-use cxu::sched::{analyze_pair, Detector, Op, SchedConfig, Scheduler};
+use cxu::sched::{analyze_pair, Deadline, Detector, Op, SchedConfig, SchedStats, Scheduler};
 
 fn sched_cfg() -> SchedConfig {
     SchedConfig {
@@ -281,53 +281,72 @@ fn repeated_shapes_hit_the_cache() {
     );
 }
 
-/// Acceptance: on a 500-op batch the parallel engine agrees with the
-/// single-worker one, and (given >1 CPU) is faster.
+/// One decision path: a batch decides every pair by lookup → task →
+/// commit, as a single `check_pair` does. On seeded batches (linear,
+/// mixed, with branching reads, and with repeated shapes) one worker
+/// and four give the same graph, verdict and cache provenance per edge,
+/// and the same stats; every edge's verdict is what a fresh scheduler's
+/// `check_pair` answers for that pair.
 #[test]
-fn parallel_engine_on_500_op_batch() {
-    let mut rng = SplitMix64::seed_from_u64(0xBEEF);
-    // Diverse patterns so the batch holds many distinct pairs.
-    let p = random_program(
-        &mut rng,
-        &ProgramParams {
-            len: 500,
-            update_rate: 0.5,
-            delete_rate: 0.4,
-            pattern: PatternParams {
-                nodes: 4,
-                alphabet: 6,
-                branch_rate: 0.0,
-                ..PatternParams::default()
-            },
-        },
-    );
-    let run = |jobs: usize| {
-        let cfg = SchedConfig {
-            jobs,
-            ..sched_cfg()
-        };
-        let start = std::time::Instant::now();
-        let out = Scheduler::new(cfg).run_program(&p);
-        (out, start.elapsed())
-    };
-    let (serial, t1) = run(1);
-    let (parallel, t4) = run(4);
-    assert_eq!(serial.schedule, parallel.schedule);
-    assert_eq!(serial.stats.conflict_edges, parallel.stats.conflict_edges);
-    for (a, b) in serial.graph.edges().iter().zip(parallel.graph.edges()) {
-        assert_eq!(a.verdict, b.verdict);
-    }
-    assert!(serial.stats.pairs_analyzed > 100, "{:?}", serial.stats);
-    // Wall-clock comparison only means something with real parallelism
-    // available; single-core runners still verify agreement above.
-    let cores = std::thread::available_parallelism()
-        .map(usize::from)
-        .unwrap_or(1);
-    if cores > 1 {
-        assert!(
-            t4 < t1,
-            "4 workers ({t4:?}) should beat 1 worker ({t1:?}) on {cores} cores"
-        );
+fn batch_edges_match_single_pair_checks_at_any_job_count() {
+    let mut rng = SplitMix64::seed_from_u64(0x0DE_C1DE);
+    for case in 0..6 {
+        let linear = random_ops(&mut rng, 14, false);
+        let branching = random_ops(&mut rng, 14, true);
+        let pool = random_ops(&mut rng, 5, case % 2 == 1);
+        let branching_reads: Vec<Op> = linear
+            .iter()
+            .filter(|op| op.is_update())
+            .chain(branching.iter().filter(|op| !op.is_update()))
+            .cloned()
+            .collect();
+        let repeated: Vec<Op> = (0..20).map(|i| pool[i % pool.len()].clone()).collect();
+        for (kind, ops) in [
+            ("linear", &linear),
+            ("mixed", &branching),
+            ("branching reads", &branching_reads),
+            ("repeated shapes", &repeated),
+        ] {
+            let run = |jobs| {
+                Scheduler::new(SchedConfig {
+                    jobs,
+                    ..sched_cfg()
+                })
+                .run(ops)
+            };
+            let (one, four) = (run(1), run(4));
+            let ctx = format!("case {case}, {kind}");
+            assert_eq!(
+                one.stats,
+                SchedStats {
+                    jobs: 1,
+                    ..four.stats
+                },
+                "{ctx}"
+            );
+            assert_eq!(one.schedule, four.schedule, "{ctx}");
+            assert_eq!(one.graph.edges().len(), four.graph.edges().len(), "{ctx}");
+            for (e1, e4) in one.graph.edges().iter().zip(four.graph.edges()) {
+                assert_eq!(
+                    (e1.a, e1.b, e1.verdict, e1.cached),
+                    (e4.a, e4.b, e4.verdict, e4.cached),
+                    "{ctx}"
+                );
+                let single = Scheduler::new(sched_cfg()).check_pair(
+                    &ops[e1.a],
+                    &ops[e1.b],
+                    &Deadline::never(),
+                );
+                assert_eq!(
+                    single.verdict, e1.verdict,
+                    "{ctx}: pair ({}, {}) disagrees with check_pair",
+                    e1.a, e1.b
+                );
+            }
+            if kind == "repeated shapes" {
+                assert!(one.stats.cache_hits > 0, "{ctx}: {:?}", one.stats);
+            }
+        }
     }
 }
 

@@ -10,11 +10,12 @@
 //! test below runs both inside one lock hold to prove it.
 
 use cxu::gen::json::Json;
-use cxu::gen::patterns::PatternParams;
+use cxu::gen::patterns::{random_delete_pattern, PatternParams};
 use cxu::gen::program::{random_program, Program, ProgramParams};
 use cxu::gen::rng::{Rng, SplitMix64};
 use cxu::gen::trees::{random_tree, TreeParams};
 use cxu::gen::wire;
+use cxu::pattern::xpath::to_xpath;
 use cxu::prelude::Semantics;
 use cxu::sched::{ops_of_program, Deadline, Op, SchedConfig, Scheduler};
 use cxu::serve::{ServeConfig, ServeSummary, Server, ServerHandle};
@@ -1003,4 +1004,114 @@ fn half_closed_client_still_receives_every_queued_answer() {
     let summary = join.join().unwrap();
     assert_identity(&summary);
     assert_eq!(summary.completed, WINDOW);
+}
+
+/// (o) A request deadline bounds every route that runs detectors. A
+/// `schedule` batch stops at it: each pair's analysis ends at the
+/// earlier of the request deadline and its configured slice, instead
+/// of taking a fresh slice of the whole remaining time per pair. The
+/// batch is 20 linear patterns over {a, *}, each as a delete, an insert
+/// of `a` and an insert of `a(a)`: 60 ops, 1,770 distinct pairs, whose
+/// §6 fallback searches outlast 20 ms many times over. Then seeded
+/// pattern shapes (depth, width, `//` chains, `*`, nested predicates)
+/// sent as `check`s are each answered within their deadline plus slack.
+#[test]
+fn schedule_batches_and_seeded_pattern_shapes_stop_at_the_deadline() {
+    let _g = lock();
+    let (addr, handle, join) = start(ServeConfig {
+        workers: 1,
+        ..ServeConfig::default()
+    });
+    let mut c = Client::connect(addr);
+    let patterns = [
+        "a/a", "a/a/a", "a//a", "a/*/a", "a//a/a", "a/a//a", "*/a", "a/*", "a//*", "*//a/a",
+        "a/a/a/a", "*/*/a", "a/*/*", "*/a/a", "a//a//a", "*//*", "a/a/*", "*/a//a", "a//*/a",
+        "*/*",
+    ];
+    let ops: Vec<String> = patterns
+        .iter()
+        .flat_map(|p| {
+            [
+                format!(r#"{{"kind": "delete", "pattern": "{p}"}}"#),
+                format!(r#"{{"kind": "insert", "pattern": "{p}", "subtree": "a"}}"#),
+                format!(r#"{{"kind": "insert", "pattern": "{p}", "subtree": "a(a)"}}"#),
+            ]
+        })
+        .collect();
+    let req = format!(
+        r#"{{"route": "schedule", "id": 1, "deadline_ms": 20, "ops": [{}]}}"#,
+        ops.join(", ")
+    );
+    let t0 = Instant::now();
+    let v = c.roundtrip(&req);
+    let took = t0.elapsed();
+    assert_eq!(v.get("ok").and_then(Json::as_bool), Some(true), "{v:?}");
+    let stats = v.get("stats").expect("schedule stats");
+    assert_eq!(stats.get("pairs_total").and_then(Json::as_u64), Some(1770));
+    // About 770 pairs reach a fallback search. Those the deadline cuts
+    // off degrade; none may take a fresh slice of the remaining time.
+    let degraded = stats.get("degraded_deadline").and_then(Json::as_u64);
+    assert!(
+        degraded.is_some_and(|d| d > 100),
+        "a batch cut off by its deadline degrades its unfinished pairs: {stats:?}"
+    );
+    assert!(
+        took < Duration::from_secs(1),
+        "a 20 ms schedule batch answered after {took:?}"
+    );
+
+    let mut rng = SplitMix64::seed_from_u64(0x5_4A9E);
+    // Tens of nodes, or hundreds for every fifth read; up to half of
+    // them off the spine as (nested) predicates; `//` and `*` at seeded
+    // rates.
+    let shape = |rng: &mut SplitMix64, nodes: usize| {
+        let params = PatternParams {
+            nodes,
+            alphabet: 2,
+            wildcard_rate: rng.next_f64() * 0.4,
+            descendant_rate: rng.next_f64() * 0.6,
+            branch_rate: rng.next_f64() * 0.5,
+            ..PatternParams::default()
+        };
+        to_xpath(&random_delete_pattern(rng, &params))
+    };
+    for id in 2..42u64 {
+        let nodes = match id % 5 {
+            0 => 200 + rng.gen_range(0..800usize),
+            _ => 2 + rng.gen_range(0..40usize),
+        };
+        let read = shape(&mut rng, nodes);
+        let target_nodes = 2 + rng.gen_range(0..10usize);
+        let target = shape(&mut rng, target_nodes);
+        let update = if rng.gen_bool(0.5) {
+            format!(r#"{{"kind": "delete", "pattern": "{target}"}}"#)
+        } else {
+            format!(r#"{{"kind": "insert", "pattern": "{target}", "subtree": "l0(l1)"}}"#)
+        };
+        // Half the pairs are update pairs, whose searches run the §6
+        // fallback instead of the Lemma 11 read search.
+        let a = if id % 2 == 0 {
+            format!(r#"{{"kind": "read", "pattern": "{read}"}}"#)
+        } else {
+            format!(r#"{{"kind": "delete", "pattern": "{read}"}}"#)
+        };
+        let req = format!(
+            r#"{{"route": "check", "id": {id}, "deadline_ms": 50, "a": {a}, "b": {update}}}"#
+        );
+        let t0 = Instant::now();
+        let v = c.roundtrip(&req);
+        let took = t0.elapsed();
+        assert_eq!(v.get("ok").and_then(Json::as_bool), Some(true), "{v:?}");
+        assert_eq!(v.get("id").and_then(Json::as_u64), Some(id));
+        assert!(
+            took < Duration::from_secs(1),
+            "check {id} ({a} against {update}) answered after {took:?}, \
+             past its 50 ms deadline plus slack"
+        );
+    }
+    handle.shutdown();
+    drop(c);
+    let (summary, _) = join_within(join, Duration::from_secs(2));
+    assert_identity(&summary);
+    assert_eq!(summary.failed, 0);
 }
